@@ -11,6 +11,7 @@ Matrices serialize to JSON as nested row-major arrays of ``[re, im]`` pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,11 @@ TOL_PSD = 1e-9
 
 
 def max_abs(a: np.ndarray) -> float:
-    """Largest absolute value of the entries (0.0 for empty arrays)."""
+    """Largest absolute value of the entries (0.0 for empty arrays); ``inf``
+    if any entry is not finite, so that every ``<= tol`` test fails closed."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    worst = float(np.max(np.abs(a))) if a.size else 0.0
+    return worst if math.isfinite(worst) else math.inf
 
 
 def as_complex_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -62,8 +65,9 @@ def is_unitary(matrix: np.ndarray, tol: float = TOL_UNITARY) -> bool:
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(matrix: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` pairs; accepts an array of any rank."""
     matrix = np.asarray(matrix, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
 
 
 def matrix_from_json(payload) -> np.ndarray:

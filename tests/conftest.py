@@ -103,3 +103,17 @@ def evolution_oracle(w_matrix: np.ndarray, a_sys: System) -> np.ndarray:
             flip[j, i] = 1.0
             out[i, j] = w_matrix.conj().T @ embed_oracle(flip, a_sys, s) @ w_matrix
     return out
+
+
+def conjugation_oracle(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Grid-axis conjugation as one three-operand einsum:
+    ``(i, j) -> sum_kl x_ik entries[k, l] conj(x_jl)``."""
+    return np.einsum("ik,klpq,jl->ijpq", x, entries, x.conj())
+
+
+def product_residual_oracle(entries: np.ndarray) -> float:
+    """Max-abs of ``e(i,j) e(k,l) - δ_il e(k,j)`` over all d^4 quadruples."""
+    d = entries.shape[0]
+    products = np.einsum("ijpq,klqr->ijklpr", entries, entries)
+    expected = np.einsum("il,kjpq->ijklpq", np.eye(d), entries)
+    return float(np.max(np.abs(products - expected)))

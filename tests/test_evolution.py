@@ -28,7 +28,7 @@ from noumenal import (
     noumenal_partial_trace,
     noumenal_product,
 )
-from conftest import evolution_oracle
+from conftest import conjugation_oracle, evolution_oracle, product_residual_oracle
 
 TOL = 1e-9
 
@@ -131,6 +131,21 @@ def test_action_matches_global_composition(lat222, rng):
         noumenal_distance(noumenal_action(u, from_global_unitary(w, a)), from_global_unitary(lifted, a))
         < TOL
     )
+
+
+@pytest.mark.parametrize("atoms", [(0, 2), (0, 1, 2)])  # d < D and d = D
+def test_action_and_basis_change_match_conjugation_oracle(lat222, rng, atoms):
+    a = lat222.system(atoms)
+    n = from_global_unitary(global_haar(lat222, rng), a)
+    u = haar_unitary(a, rng)
+    acted = noumenal_action(u, n)
+    assert max_abs(acted.entries - conjugation_oracle(u.matrix, n.entries)) < 1e-12
+    b2 = haar_random_unitary(a.dim, rng)
+    b3 = haar_random_unitary(a.dim, rng)
+    rotated = change_of_basis(n, np.eye(a.dim), b2, "b2")
+    assert max_abs(rotated.entries - conjugation_oracle(b2.conj().T, n.entries)) < 1e-12
+    again = change_of_basis(rotated, b2, b3, "b3")
+    assert max_abs(again.entries - conjugation_oracle(b3.conj().T @ b2, rotated.entries)) < 1e-12
 
 
 def test_action_system_mismatch(lat22, rng):
@@ -256,8 +271,9 @@ def test_operator_matrix_shape_check(lat22):
         OperatorMatrix(lat22.atom(0), np.zeros((2, 2, 3, 3)))
 
 
-def test_consistency_sampled_path_for_large_grids(rng):
-    # global system of a 16-dim lattice: grid dim 16 > the full-check cap
+def test_consistency_exact_for_large_grids(rng):
+    # global system of a 16-dim lattice: the 2 d^2 generator products keep
+    # the check exact and cheap at this size too
     from noumenal import SystemLattice
 
     lattice = SystemLattice.from_dims([2, 2, 2, 2])
@@ -268,10 +284,28 @@ def test_consistency_sampled_path_for_large_grids(rng):
     entries = n.entries.copy()
     entries[0, 0, 0, 1] += 1e-3
     assert not consistency_check(OperatorMatrix(s, entries)).ok
-    # repeat calls sample the same quadruples
     first = consistency_check(n)
     second = consistency_check(n)
     assert first.residuals() == second.residuals()
+
+
+@pytest.mark.parametrize("atoms", [(1,), (0, 2), (0, 1, 2)])  # d = 2, 4, 8
+def test_product_residual_matches_d4_oracle(lat222, rng, atoms):
+    # The generators are d^4 quadruples too, so their residual never exceeds
+    # the oracle's; the law follows from them, so both vanish together and a
+    # perturbation shows in both at a like size (the factor 4 is slack).
+    a = lat222.system(atoms)
+    for trial in range(8):
+        entries = from_global_unitary(global_haar(lat222, rng), a).entries.copy()
+        if trial:
+            spot = tuple(int(rng.integers(0, size)) for size in entries.shape)
+            entries[spot] += 1e-3 * np.exp(2j * np.pi * rng.random())
+        generators = consistency_check(OperatorMatrix(a, entries)).product_residual
+        oracle = product_residual_oracle(entries)
+        if trial:
+            assert TOL < oracle / 4 <= generators <= oracle * (1 + 1e-9)
+        else:
+            assert max(generators, oracle) < 1e-12
 
 
 # ---------------------------------------------------------------------------

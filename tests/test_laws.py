@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from noumenal import (
@@ -5,6 +7,7 @@ from noumenal import (
     LawReport,
     SizeBoundExceeded,
     SystemLattice,
+    laws,
     run_law_suite,
 )
 
@@ -72,6 +75,14 @@ def test_bug_injection_fails_consistency_laws(lat22):
     worst = {r.law_id: r for r in reports}
     counterexample = worst["grid_trace_completeness"].counterexample
     assert counterexample is not None and "trial" in counterexample
+
+
+def test_nan_residual_fails_closed(lat22, monkeypatch):
+    nan_law = laws.Law("always_nan", "residual is always NaN", lambda ctx: (float("nan"), {}))
+    monkeypatch.setattr(laws, "LAWS", (nan_law,))
+    [report] = run_law_suite(lat22, trials=3, seed=0)
+    assert report.status == "fail"
+    assert report.max_residual == math.inf
 
 
 def test_suite_is_deterministic(lat23):

@@ -251,6 +251,13 @@ def test_density_operator_validation(lat22):
         bad.validate_psd()
 
 
+def test_non_finite_entries_fail_closed(lat22):
+    assert max_abs(np.array([0.5, np.nan])) == np.inf
+    assert max_abs(np.array([0.5, -np.inf])) == np.inf
+    with pytest.raises(ValidationError):
+        DensityOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]), lat22.atom(0))
+
+
 def test_density_purity(lat22):
     pure = DensityOperator(np.diag([1.0, 0.0]), lat22.atom(0))
     mixed = DensityOperator(np.eye(2) / 2, lat22.atom(0))
