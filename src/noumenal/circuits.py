@@ -137,7 +137,7 @@ def _parse_gates(payload, lattice: SystemLattice) -> list[GateApplication]:
     for entry in payload:
         try:
             targets = tuple(int(t) for t in entry["targets"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed gate entry {entry!r}: {exc}") from exc
         if "name" in entry:
             name = str(entry["name"])
@@ -162,10 +162,11 @@ def _parse_gates(payload, lattice: SystemLattice) -> list[GateApplication]:
 def _parse_track(payload, lattice: SystemLattice) -> list[System]:
     if payload is None:
         return [lattice.global_system]
-    systems = []
-    for ids in payload:
-        systems.append(lattice.system(int(i) for i in ids))
-    return systems
+    try:
+        groups = [[int(i) for i in ids] for ids in payload]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"'track' must be a list of atom-id lists, got {payload!r}") from exc
+    return [lattice.system(ids) for ids in groups]
 
 
 def circuit_from_json(payload: dict) -> Circuit:

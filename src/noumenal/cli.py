@@ -15,16 +15,16 @@ failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 
 from .circuits import load_circuit, simulate_circuit
 from .demos import bell_incompleteness_demo, no_signalling_demo
-from .errors import NoumenalError
+from .errors import NoumenalError, ParseError
 from .lattice import SystemLattice
 from .laws import run_law_suite
 from .linalg import TOL_EQ
-from .reports import render_law_table, render_scenario
+from .reports import dumps_json, render_law_table, render_scenario
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -33,35 +33,34 @@ EXIT_INPUT = 2
 DEMO_NAMES = ("bell-incompleteness", "no-signalling")
 
 
-def _parse_dims(text: str) -> list[int]:
+def _parse_ints(text: str, sep: str, option: str, example: str) -> list[int]:
     try:
-        dims = [int(part) for part in text.split("x")]
+        return [int(part) for part in text.split(sep)]
     except ValueError as exc:
-        raise NoumenalError(f"--atoms expects dims like '2x2x2', got {text!r}") from exc
-    return dims
+        raise ParseError(f"{option} expects integers like {example!r}, got {text!r}") from exc
+
+
+def _parse_dims(text: str) -> list[int]:
+    return _parse_ints(text, "x", "--atoms", "2x2x2")
 
 
 def _parse_track(text: str) -> list[list[int]]:
     groups = []
     for group in text.split(";"):
         group = group.strip()
-        ids = [int(part) for part in group.split(",")] if group else []
-        groups.append(ids)
+        groups.append(_parse_ints(group, ",", "--track", "0;0,1") if group else [])
     return groups
 
 
 def _emit(payload: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    print(dumps_json(payload) if fmt == "json" else text)
 
 
 def _validate_config(args: argparse.Namespace) -> None:
     if getattr(args, "trials", 0) < 0:
         raise NoumenalError(f"--trials must be >= 0, got {args.trials}")
-    if args.tol <= 0:
-        raise NoumenalError(f"--tol must be > 0, got {args.tol}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ParseError(f"--tol must be finite and > 0, got {args.tol}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -113,7 +112,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     else:
         a_atoms = None
         if args.bipartition is not None:
-            a_atoms = [int(part) for part in args.bipartition.split(",")]
+            a_atoms = _parse_ints(args.bipartition, ",", "--bipartition", "0,2")
         result = no_signalling_demo(
             lattice, args.trials, args.seed, a_atoms=a_atoms, tol=args.tol
         )

@@ -145,6 +145,8 @@ class DensityOperator:
             raise DimensionMismatch(
                 f"state is {matrix.shape}, but system {self.system} has dimension {d}"
             )
+        if not np.isfinite(matrix).all():
+            raise ValidationError("density matrix has non-finite (NaN or inf) entries")
         if max_abs(matrix - matrix.conj().T) > TOL_EQ:
             raise ValidationError("density matrix is not Hermitian within TOL_EQ")
         if abs(np.trace(matrix) - 1.0) > TOL_EQ:

@@ -7,7 +7,10 @@ front end relies on for reproducibility checks.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 @dataclass
@@ -115,3 +118,68 @@ def render_scenario(result: ScenarioResult) -> str:
     lines.extend(f"  {line}" for line in result.summary)
     lines.append(f"  verdict: {'PASS' if result.passed else 'FAIL'}")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# JSON text.
+# ---------------------------------------------------------------------------
+
+def dumps_json(payload) -> str:
+    """Exactly ``json.dumps(payload, indent=2)``, built without the per-value
+    generators of the pure-Python encoder that ``indent`` selects.
+
+    Dicts with ``str`` keys, lists and tuples are walked; a rectangular nest
+    of finite floats (a serialized matrix or grid) is rendered one nesting
+    level at a time; every other value is handed to ``json.dumps`` itself.
+    """
+    chunks: list[str] = []
+    _render(payload, 0, chunks)
+    return "".join(chunks)
+
+
+def _render(value, depth: int, out: list[str]) -> None:
+    kind = type(value)
+    if kind is dict and value and all(type(key) is str for key in value):
+        brackets = "{}"
+        entries = ((json.dumps(key) + ": ", item) for key, item in value.items())
+    elif (kind is list or kind is tuple) and value:
+        block = _float_block(value, depth)
+        if block is not None:
+            out.append(block)
+            return
+        brackets = "[]"
+        entries = (("", item) for item in value)
+    else:
+        # JSON strings never hold a raw newline, so every newline here is a
+        # line break that json.dumps would indent by the enclosing depth.
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth))
+        return
+    inner = "\n" + "  " * (depth + 1)
+    out.append(brackets[0])
+    for prefix, item in entries:
+        out += (inner, prefix)
+        _render(item, depth + 1, out)
+        out.append(",")
+    out[-1] = "\n" + "  " * depth + brackets[1]
+
+
+def _float_block(value, depth: int) -> str | None:
+    """``value`` rendered at ``depth`` if it is a non-empty rectangular nest of
+    finite ``float``s (exact type: ``repr`` of a subclass may differ), else None."""
+    nodes, widths = [value], []
+    while (kinds := set(map(type, nodes))) != {float}:
+        lengths = set(map(len, nodes)) if kinds <= {list, tuple} else ()
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        widths.append(lengths.pop())
+        nodes = list(chain.from_iterable(nodes))
+    if not all(map(math.isfinite, nodes)):
+        return None
+    spec = "%r"
+    for level in reversed(range(len(widths))):
+        inner = "\n" + "  " * (depth + level + 1)
+        fmt = "[" + inner + ("," + inner).join([spec] * widths[level])
+        fmt += "\n" + "  " * (depth + level) + "]"
+        nodes = list(map(fmt.__mod__, zip(*[iter(nodes)] * widths[level])))
+        spec = "%s"
+    return nodes[0]

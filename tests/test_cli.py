@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from noumenal import matrix_to_json
+from noumenal import GATES, load_circuit, matrix_to_json, simulate_circuit
 from noumenal.cli import main
 
 
@@ -100,6 +104,32 @@ def test_non_positive_tolerance_is_input_error(capsys):
     assert "tol" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_is_input_error(capsys, tol):
+    code, _, err = run_cli(capsys, "verify", "--atoms", "2x2", "--trials", "1", f"--tol={tol}")
+    assert code == 2
+    assert "tol" in err
+
+
+@pytest.mark.parametrize(
+    "argv, track",
+    [
+        (("simulate", "--track", "a"), None),
+        (("demo", "no-signalling", "--bipartition", "x"), None),
+        (("simulate",), 5),
+        (("simulate",), [["x"]]),
+    ],
+)
+def test_malformed_atom_ids_are_input_errors(capsys, tmp_path, argv, track):
+    if argv[0] == "simulate":
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps({"atoms": [{"id": 0, "dim": 2}], "track": track}))
+        argv = (*argv, "--file", str(path))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_demo_bad_lattice_is_input_error(capsys):
     code, _, err = run_cli(capsys, "demo", "bell-incompleteness", "--atoms", "2x3")
     assert code == 2
@@ -167,3 +197,50 @@ def test_simulate_explicit_matrix_gate(capsys, tmp_path):
     marginal = np.array(final["phenomenal"], dtype=float)[..., 0]
     expected = rotation @ np.diag([1.0, 0.0]) @ rotation.conj().T
     assert np.abs(marginal - expected.real).max() < 1e-9
+
+
+def test_simulate_json_is_json_dumps_of_the_record(capsys, bell_file):
+    code, out, _ = run_cli(capsys, "simulate", "--file", bell_file, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(simulate_circuit(load_circuit(bell_file)), indent=2) + "\n"
+
+
+ids = (
+    st.integers(-1, 2)
+    | st.integers()
+    | st.floats()
+    | st.text("0a,", max_size=2)
+    | st.booleans()
+    | st.none()
+)
+field_values = (
+    st.lists(st.lists(ids, max_size=3), max_size=3)
+    | st.lists(ids, max_size=3)
+    | ids
+    | st.dictionaries(st.text("0a", max_size=2), ids, max_size=2)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(["track", 0, 1, 2]), value=field_values)
+@example(field=0, value=[math.inf])
+@example(field="track", value=[[math.inf]])
+def test_malformed_circuit_fields_never_escape(tmp_path_factory, field, value):
+    payload = {
+        "atoms": [{"id": 0, "dim": 2}, {"id": 1, "dim": 2}],
+        "gates": [
+            {"name": "H", "targets": [0]},
+            {"name": "CNOT", "targets": [0, 1]},
+            {"matrix": matrix_to_json(GATES["X"]), "targets": [1]},
+        ],
+        "track": [[0]],
+    }
+    if field == "track":
+        payload["track"] = value
+    else:
+        payload["gates"][field]["targets"] = value
+    path = tmp_path_factory.mktemp("fuzz") / "circuit.json"
+    path.write_text(json.dumps(payload))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["simulate", "--file", str(path)])
+    assert code in (0, 1, 2)

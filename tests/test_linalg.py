@@ -254,7 +254,7 @@ def test_density_operator_validation(lat22):
 def test_non_finite_entries_fail_closed(lat22):
     assert max_abs(np.array([0.5, np.nan])) == np.inf
     assert max_abs(np.array([0.5, -np.inf])) == np.inf
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="non-finite"):
         DensityOperator(np.array([[np.nan, 0.0], [0.0, 1.0]]), lat22.atom(0))
 
 
