@@ -24,7 +24,7 @@ from .errors import NoumenalError, ParseError
 from .lattice import SystemLattice
 from .laws import run_law_suite
 from .linalg import TOL_EQ
-from .reports import dumps_json, render_law_table, render_scenario
+from .reports import dump_json, render_law_table, render_scenario
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -53,7 +53,11 @@ def _parse_track(text: str) -> list[list[int]]:
 
 
 def _emit(payload: dict, text: str, fmt: str) -> None:
-    print(dumps_json(payload) if fmt == "json" else text)
+    if fmt == "json":
+        dump_json(payload, sys.stdout)
+        print()
+    else:
+        print(text)
 
 
 def _validate_config(args: argparse.Namespace) -> None:

@@ -124,43 +124,76 @@ def render_scenario(result: ScenarioResult) -> str:
 # JSON text.
 # ---------------------------------------------------------------------------
 
+#: Floats in the largest nest rendered as one string.  Bigger grids are
+#: walked down to nests of at most this many floats, so no string, list or
+#: write grows with the payload.
+BLOCK_FLOATS = 1024
+
+#: ``dump_json`` writes once this many characters have accumulated.
+WRITE_CHARS = 1 << 16
+
+
+def dump_json(payload, stream) -> None:
+    """Write exactly ``json.dumps(payload, indent=2)`` to ``stream``, in
+    pieces of about ``WRITE_CHARS`` characters."""
+    pending: list[str] = []
+    size = 0
+    for chunk in _chunks(payload, 0):
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= WRITE_CHARS:
+            stream.write("".join(pending))
+            pending, size = [], 0
+    stream.write("".join(pending))
+
+
 def dumps_json(payload) -> str:
     """Exactly ``json.dumps(payload, indent=2)``, built without the per-value
     generators of the pure-Python encoder that ``indent`` selects.
 
     Dicts with ``str`` keys, lists and tuples are walked; a rectangular nest
-    of finite floats (a serialized matrix or grid) is rendered one nesting
-    level at a time; every other value is handed to ``json.dumps`` itself.
+    of at most ``BLOCK_FLOATS`` finite floats (a row of a serialized matrix
+    or grid) is rendered one nesting level at a time; every other value is
+    handed to ``json.dumps`` itself.
     """
-    chunks: list[str] = []
-    _render(payload, 0, chunks)
-    return "".join(chunks)
+    return "".join(_chunks(payload, 0))
 
 
-def _render(value, depth: int, out: list[str]) -> None:
+def _chunks(value, depth: int):
+    """The text of ``value`` at nesting ``depth``, in order, as strings."""
     kind = type(value)
     if kind is dict and value and all(type(key) is str for key in value):
         brackets = "{}"
         entries = ((json.dumps(key) + ": ", item) for key, item in value.items())
     elif (kind is list or kind is tuple) and value:
-        block = _float_block(value, depth)
+        block = _float_block(value, depth) if _nest_size(value) <= BLOCK_FLOATS else None
         if block is not None:
-            out.append(block)
+            yield block
             return
         brackets = "[]"
         entries = (("", item) for item in value)
     else:
         # JSON strings never hold a raw newline, so every newline here is a
         # line break that json.dumps would indent by the enclosing depth.
-        out.append(json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth))
+        yield json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
         return
     inner = "\n" + "  " * (depth + 1)
-    out.append(brackets[0])
+    separator = brackets[0] + inner
     for prefix, item in entries:
-        out += (inner, prefix)
-        _render(item, depth + 1, out)
-        out.append(",")
-    out[-1] = "\n" + "  " * depth + brackets[1]
+        yield separator + prefix
+        yield from _chunks(item, depth + 1)
+        separator = "," + inner
+    yield "\n" + "  " * depth + brackets[1]
+
+
+def _nest_size(value) -> int:
+    """Leaves of ``value`` if it is a rectangular nest: the product of the
+    lengths down its first elements."""
+    size = 1
+    while (type(value) is list or type(value) is tuple) and value:
+        size *= len(value)
+        value = value[0]
+    return size
 
 
 def _float_block(value, depth: int) -> str | None:

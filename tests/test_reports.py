@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from noumenal import matrix_to_json
-from noumenal.reports import _float_block, dumps_json
+from noumenal.reports import WRITE_CHARS, _float_block, dump_json, dumps_json
 
 # json.dumps(indent=2) is the reference oracle for every test below.
 
@@ -64,3 +64,16 @@ def test_serialized_matrix_takes_the_level_renderer():
     grid = matrix_to_json(np.arange(8).reshape(2, 2, 2) * (1 + 0.5j))
     assert _float_block(grid, 1) is not None
     assert dumps_json({"grid": grid}) == json.dumps({"grid": grid}, indent=2)
+
+
+def test_dump_json_writes_a_large_grid_in_bounded_pieces():
+    payload = {"entries": matrix_to_json(np.arange(2 * 2 * 64 * 64).reshape(2, 2, 64, 64) / 7j)}
+
+    class Pieces(list):
+        write = list.append
+
+    pieces = Pieces()
+    dump_json(payload, pieces)
+    assert "".join(pieces) == json.dumps(payload, indent=2)
+    assert len(pieces) > 10
+    assert max(map(len, pieces)) < 2 * WRITE_CHARS
