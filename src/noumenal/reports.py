@@ -134,8 +134,15 @@ WRITE_CHARS = 1 << 16
 
 
 def dump_json(payload, stream) -> None:
-    """Write exactly ``json.dumps(payload, indent=2)`` to ``stream``, in
-    pieces of about ``WRITE_CHARS`` characters."""
+    """Write exactly ``json.dumps(payload, indent=2)`` to ``stream``, without
+    the per-value generators of the pure-Python encoder that ``indent``
+    selects, in pieces of about ``WRITE_CHARS`` characters.
+
+    Dicts with ``str`` keys, lists and tuples are walked; a rectangular nest
+    of at most ``BLOCK_FLOATS`` finite floats (a row of a serialized matrix
+    or grid) is rendered one nesting level at a time; every other value is
+    handed to ``json.dumps`` itself.
+    """
     pending: list[str] = []
     size = 0
     for chunk in _chunks(payload, 0):
@@ -145,18 +152,6 @@ def dump_json(payload, stream) -> None:
             stream.write("".join(pending))
             pending, size = [], 0
     stream.write("".join(pending))
-
-
-def dumps_json(payload) -> str:
-    """Exactly ``json.dumps(payload, indent=2)``, built without the per-value
-    generators of the pure-Python encoder that ``indent`` selects.
-
-    Dicts with ``str`` keys, lists and tuples are walked; a rectangular nest
-    of at most ``BLOCK_FLOATS`` finite floats (a row of a serialized matrix
-    or grid) is rendered one nesting level at a time; every other value is
-    handed to ``json.dumps`` itself.
-    """
-    return "".join(_chunks(payload, 0))
 
 
 def _chunks(value, depth: int):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from noumenal import matrix_to_json
-from noumenal.reports import WRITE_CHARS, _float_block, dump_json, dumps_json
+from noumenal.reports import WRITE_CHARS, _float_block, dump_json
 
 # json.dumps(indent=2) is the reference oracle for every test below.
 
@@ -15,6 +16,12 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_fr
 # One character of each class json escapes differently, non-ASCII included.
 text = st.text(st.sampled_from('a"\\/\n\t\x00\x7fé☃\U0001f600\ud800'), max_size=6)
 scalars = st.none() | st.booleans() | st.integers() | floats | text
+
+
+def dumps_json(value) -> str:
+    stream = io.StringIO()
+    dump_json(value, stream)
+    return stream.getvalue()
 
 
 def _nest(flat, shape):
@@ -68,6 +75,9 @@ def test_serialized_matrix_takes_the_level_renderer():
 
 def test_dump_json_writes_a_large_grid_in_bounded_pieces():
     payload = {"entries": matrix_to_json(np.arange(2 * 2 * 64 * 64).reshape(2, 2, 64, 64) / 7j)}
+    # Rows that fall back to json.dumps inside a grid walked row by row.
+    payload["entries"][0][1][5][3][0] = math.nan
+    payload["entries"][1][1][0][0][1] = 3
 
     class Pieces(list):
         write = list.append
