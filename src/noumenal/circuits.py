@@ -109,6 +109,16 @@ def _parse_atoms(payload) -> SystemLattice:
     return SystemLattice(sorted(atoms, key=lambda a: a.atom_id))
 
 
+def _parse_ids(payload, what: str) -> list[int]:
+    """A JSON list of atom ids; a string is rejected, not read digit by digit."""
+    if not isinstance(payload, list):
+        raise ParseError(f"{what} must be a list of atom ids, got {payload!r}")
+    try:
+        return [int(i) for i in payload]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} must be a list of atom ids, got {payload!r}") from exc
+
+
 def _parse_initial_state(payload, lattice: SystemLattice) -> DensityOperator:
     system = lattice.global_system
     if payload is None:
@@ -126,19 +136,21 @@ def _parse_initial_state(payload, lattice: SystemLattice) -> DensityOperator:
             return pure_density(system, basis_state_vector(system, digits))
         except ValidationError as exc:
             raise ParseError(str(exc)) from exc
-    matrix = matrix_from_json(payload)
-    return DensityOperator(matrix, system)
+    anchor = DensityOperator(matrix_from_json(payload), system)
+    anchor.validate_psd()
+    return anchor
 
 
 def _parse_gates(payload, lattice: SystemLattice) -> list[GateApplication]:
     if payload is None:
         return []
+    if not isinstance(payload, list):
+        raise ParseError(f"'gates' must be a list, got {payload!r}")
     gates = []
     for entry in payload:
-        try:
-            targets = tuple(int(t) for t in entry["targets"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"malformed gate entry {entry!r}: {exc}") from exc
+        if not isinstance(entry, dict) or "targets" not in entry:
+            raise ParseError(f"gate entry must be an object with 'targets', got {entry!r}")
+        targets = tuple(_parse_ids(entry["targets"], "gate 'targets'"))
         if "name" in entry:
             name = str(entry["name"])
             if name not in GATES:
@@ -162,11 +174,9 @@ def _parse_gates(payload, lattice: SystemLattice) -> list[GateApplication]:
 def _parse_track(payload, lattice: SystemLattice) -> list[System]:
     if payload is None:
         return [lattice.global_system]
-    try:
-        groups = [[int(i) for i in ids] for ids in payload]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"'track' must be a list of atom-id lists, got {payload!r}") from exc
-    return [lattice.system(ids) for ids in groups]
+    if not isinstance(payload, list):
+        raise ParseError(f"'track' must be a list of atom-id lists, got {payload!r}")
+    return [lattice.system(_parse_ids(ids, "each 'track' entry")) for ids in payload]
 
 
 def circuit_from_json(payload: dict) -> Circuit:

@@ -52,6 +52,7 @@ class ExtendedNoumenalState:
 
         n = EvolutionMatrix.from_json(lattice, payload["noumenal"])
         rho = DensityOperator(matrix_from_json(payload["anchor_rho"]), lattice.global_system)
+        rho.validate_psd()
         return cls(n, rho)
 
 

@@ -6,10 +6,17 @@ bit set; union, intersection and complement are plain set algebra.  The atom
 order also fixes the canonical basis layout of every composite system: basis
 indices are mixed-radix numbers whose digits run over the member atoms in
 ascending ``atom_id`` order, first atom most significant.
+
+A lattice never changes and compares by identity, so it owns the memo tables
+of the index bookkeeping built on it: each system's layout (member atom ids,
+their dims and the product dimension), filled lazily by mask here, and the
+digit tables and index maps of :mod:`noumenal.linalg`, filled there.  No
+entry ever needs invalidating, and two lattices never share one.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -65,14 +72,19 @@ class SystemLattice:
                 )
             if atom.dim < 2:
                 raise ValidationError(f"atom {atom.atom_id} has dim {atom.dim}; atoms need dim >= 2")
-        total = 1
-        for atom in atoms:
-            total *= atom.dim
+        dims = tuple(atom.dim for atom in atoms)
+        total = math.prod(dims)
         bound = global_dim_bound()
         if total > bound:
             raise SizeBoundExceeded(f"global dimension {total} exceeds bound {bound}")
         self._atoms = atoms
+        self._dims = dims
         self._global_dim = total
+        self._layouts: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        #: ``linalg._digit_table`` results, keyed by system mask.
+        self.digit_tables: dict = {}
+        #: ``linalg.index_map`` results, keyed by ``(a_sys.mask, b_sys.mask)``.
+        self.index_maps: dict = {}
 
     @classmethod
     def from_dims(cls, dims: Iterable[int], labels: Sequence[str] | None = None) -> "SystemLattice":
@@ -96,11 +108,20 @@ class SystemLattice:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(atom.dim for atom in self._atoms)
+        return self._dims
 
     @property
     def global_dim(self) -> int:
         return self._global_dim
+
+    def _layout(self, mask: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """``(atom_ids, atom_dims, dim)`` of the system with this atom mask."""
+        layout = self._layouts.get(mask)
+        if layout is None:
+            ids = tuple(i for i in range(len(self._atoms)) if mask >> i & 1)
+            dims = tuple(self._dims[i] for i in ids)
+            layout = self._layouts[mask] = (ids, dims, math.prod(dims))
+        return layout
 
     def system(self, atom_ids: Iterable[int]) -> "System":
         """The system spanning the given atoms."""
@@ -181,21 +202,17 @@ class System:
 
     @property
     def atom_ids(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.lattice.n_atoms) if self.mask >> i & 1)
+        return self.lattice._layout(self.mask)[0]
 
     @property
     def atom_dims(self) -> tuple[int, ...]:
         """Dimensions of the member atoms in ascending atom order."""
-        dims = self.lattice.dims
-        return tuple(dims[i] for i in self.atom_ids)
+        return self.lattice._layout(self.mask)[1]
 
     @property
     def dim(self) -> int:
         """Hilbert-space dimension: product of member atom dims (1 if empty)."""
-        total = 1
-        for d in self.atom_dims:
-            total *= d
-        return total
+        return self.lattice._layout(self.mask)[2]
 
     def atomic_decomposition(self) -> tuple["System", ...]:
         """The unique set of atomic systems whose union is this system."""

@@ -177,8 +177,13 @@ def _digit_table(system: System) -> np.ndarray:
     """Digits of every basis index of ``system``, one row per member atom.
 
     Row order follows ascending atom id; the first atom is the most
-    significant digit.  Shape ``(n_member_atoms, system.dim)``.
+    significant digit.  Shape ``(n_member_atoms, system.dim)``.  Memoized on
+    the lattice by mask; the array is shared and read-only.
     """
+    memo = system.lattice.digit_tables
+    table = memo.get(system.mask)
+    if table is not None:
+        return table
     dims = system.atom_dims
     indices = np.arange(system.dim)
     rows = []
@@ -187,9 +192,9 @@ def _digit_table(system: System) -> np.ndarray:
         rows.append(remainder % d)
         remainder = remainder // d
     rows.reverse()
-    if not rows:
-        return np.zeros((0, 1), dtype=np.intp)
-    return np.stack(rows)
+    table = np.stack(rows) if rows else np.zeros((0, 1), dtype=np.intp)
+    memo[system.mask] = _frozen(table)
+    return table
 
 
 def index_map(a_sys: System, b_sys: System) -> np.ndarray:
@@ -199,9 +204,19 @@ def index_map(a_sys: System, b_sys: System) -> np.ndarray:
     ``M[i, k]`` the index of the product vector in the canonical basis of the
     union, whose digits run over the union's atoms in ascending order.  The
     map is a bijection onto ``range(dim(union))``.
+
+    The map is computed once per lattice and pair of masks and then shared:
+    every call with the same pair returns the same read-only ``intp`` array,
+    so callers must copy it before writing to it.  Overlapping systems are
+    rejected on every call.
     """
     if not a_sys.is_disjoint_from(b_sys):
         raise DisjointnessViolation(f"systems {a_sys} and {b_sys} overlap")
+    memo = a_sys.lattice.index_maps
+    key = (a_sys.mask, b_sys.mask)
+    out = memo.get(key)
+    if out is not None:
+        return out
     union = a_sys.union(b_sys)
     a_digits = _digit_table(a_sys)
     b_digits = _digit_table(b_sys)
@@ -215,6 +230,7 @@ def index_map(a_sys: System, b_sys: System) -> np.ndarray:
             digit = b_digits[b_ids.index(atom_id)][None, :]
         out += stride * digit
         stride *= d
+    memo[key] = _frozen(out)
     return out
 
 

@@ -68,6 +68,40 @@ def kron_index(a_sys: System, b_sys: System, i: int, k: int) -> int:
     return int(np.argmax(vec))
 
 
+def layout_oracle(lattice: SystemLattice, mask: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """``(atom_ids, atom_dims, dim)`` of a mask, read off the atom specs."""
+    members = [atom for atom in lattice.atoms if mask >> atom.atom_id & 1]
+    dims = tuple(atom.dim for atom in members)
+    return tuple(atom.atom_id for atom in members), dims, int(np.prod(dims, dtype=int))
+
+
+def index_map_oracle(a_sys: System, b_sys: System) -> np.ndarray:
+    """``index_map`` from scratch: split each local index into mixed-radix
+    digits (first member atom most significant), file them under their atom
+    ids, and read the union's index off the digits in ascending atom order."""
+    dims = {atom.atom_id: atom.dim for atom in a_sys.lattice.atoms}
+    a_ids = [i for i in sorted(dims) if a_sys.mask >> i & 1]
+    b_ids = [i for i in sorted(dims) if b_sys.mask >> i & 1]
+
+    def digits(index: int, ids: list[int]) -> dict[int, int]:
+        out = {}
+        for atom_id in reversed(ids):
+            index, out[atom_id] = divmod(index, dims[atom_id])
+        return out
+
+    a_dim = int(np.prod([dims[i] for i in a_ids], dtype=int))
+    b_dim = int(np.prod([dims[i] for i in b_ids], dtype=int))
+    table = np.empty((a_dim, b_dim), dtype=np.intp)
+    for i in range(a_dim):
+        for k in range(b_dim):
+            placed = {**digits(i, a_ids), **digits(k, b_ids)}
+            index = 0
+            for atom_id in sorted(placed):
+                index = index * dims[atom_id] + placed[atom_id]
+            table[i, k] = index
+    return table
+
+
 def embed_oracle(op: np.ndarray, a_sys: System, within: System) -> np.ndarray:
     """Entrywise identity-padding: out[(i,r),(j,r)] = op[i,j]."""
     rest = within.difference(a_sys)

@@ -130,6 +130,32 @@ def test_malformed_atom_ids_are_input_errors(capsys, tmp_path, argv, track):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+NON_PSD = matrix_to_json(np.diag([1.5, -0.5, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("gates", 5, "'gates' must be a list"),
+        ("gates", "H", "'gates' must be a list"),
+        ("gates", [5], "gate entry must be an object"),
+        ("gates", [{"name": "H", "targets": "0"}], "gate 'targets' must be a list"),
+        ("track", "01", "'track' must be a list"),
+        ("track", ["0"], "'track' entry must be a list"),
+        ("initial_state", NON_PSD, "eigenvalue -0.5"),
+    ],
+)
+def test_malformed_circuit_files_are_input_errors(capsys, tmp_path, field, value, reason):
+    payload = {"atoms": [{"id": 0, "dim": 2}, {"id": 1, "dim": 2}], field: value}
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "simulate", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+
+
 def test_demo_bad_lattice_is_input_error(capsys):
     code, _, err = run_cli(capsys, "demo", "bell-incompleteness", "--atoms", "2x3")
     assert code == 2
@@ -219,13 +245,67 @@ field_values = (
     | ids
     | st.dictionaries(st.text("0a", max_size=2), ids, max_size=2)
 )
+gate_entries = (
+    st.fixed_dictionaries({"name": st.sampled_from(["H", "CNOT", "Q"]), "targets": field_values})
+    | st.fixed_dictionaries({"matrix": st.just(matrix_to_json(GATES["X"])), "targets": field_values})
+    | field_values
+)
+pairs = st.lists(st.floats(), min_size=2, max_size=2)
+diagonal_states = st.lists(st.floats(-1, 2), min_size=3, max_size=3).map(
+    lambda head: matrix_to_json(np.diag([*head, 1.0 - sum(head)]))
+)
 
 
-@settings(max_examples=60, deadline=None)
-@given(field=st.sampled_from(["track", 0, 1, 2]), value=field_values)
-@example(field=0, value=[math.inf])
-@example(field="track", value=[[math.inf]])
-def test_malformed_circuit_fields_never_escape(tmp_path_factory, field, value):
+def _with_off_diagonal(value: float) -> list:
+    matrix = np.diag([1.0, 0.0, 0.0, 0.0])
+    matrix[0, 1] = matrix[1, 0] = value
+    return matrix_to_json(matrix)
+
+
+initial_states = (
+    st.lists(st.lists(pairs, min_size=1, max_size=5), min_size=1, max_size=5)
+    | diagonal_states
+    | st.sampled_from([math.nan, math.inf, -math.inf]).map(_with_off_diagonal)
+    | field_values
+)
+
+
+def _must_reject(field, value) -> bool:
+    """Inputs that a correct parser always refuses with exit 2."""
+    if isinstance(field, int):  # one gate's targets
+        return not isinstance(value, list)
+    if value is None:  # the field's default
+        return False
+    if field == "track":
+        return not isinstance(value, list) or any(not isinstance(ids, list) for ids in value)
+    if field == "gates":
+        return not isinstance(value, list) or any(
+            not isinstance(entry, dict) or not isinstance(entry.get("targets"), list) for entry in value
+        )
+    try:  # initial_state
+        matrix = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    if matrix.shape != (4, 4, 2) or not np.isfinite(matrix).all():
+        return True
+    return bool(np.linalg.eigvalsh(matrix[..., 0] + 1j * matrix[..., 1]).min() < -1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    drawn=st.one_of(
+        st.tuples(st.sampled_from(["track", 0, 1, 2]), field_values),
+        st.tuples(st.just("gates"), st.lists(gate_entries, max_size=3) | field_values),
+        st.tuples(st.just("initial_state"), initial_states),
+    )
+)
+@example(drawn=(0, [math.inf]))
+@example(drawn=("track", [[math.inf]]))
+@example(drawn=("gates", 5))
+@example(drawn=("track", "01"))
+@example(drawn=("initial_state", NON_PSD))
+def test_malformed_circuit_fields_never_escape(tmp_path_factory, drawn):
+    field, value = drawn
     payload = {
         "atoms": [{"id": 0, "dim": 2}, {"id": 1, "dim": 2}],
         "gates": [
@@ -235,12 +315,16 @@ def test_malformed_circuit_fields_never_escape(tmp_path_factory, field, value):
         ],
         "track": [[0]],
     }
-    if field == "track":
-        payload["track"] = value
-    else:
+    if isinstance(field, int):
         payload["gates"][field]["targets"] = value
+    else:
+        payload[field] = value
     path = tmp_path_factory.mktemp("fuzz") / "circuit.json"
     path.write_text(json.dumps(payload))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["simulate", "--file", str(path)])
     assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if _must_reject(field, value):
+        assert code == 2

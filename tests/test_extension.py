@@ -7,6 +7,7 @@ from noumenal import (
     ExtendedNoumenalState,
     SystemMismatch,
     UnitaryOperator,
+    ValidationError,
     ext_action,
     ext_epimorphism,
     ext_product,
@@ -14,6 +15,7 @@ from noumenal import (
     from_global_unitary,
     haar_unitary,
     identity_evolution,
+    matrix_to_json,
     max_abs,
     mixed_state_witness,
     noumenal_distance,
@@ -156,3 +158,11 @@ def test_serialization_round_trip(lat22, rng):
     again = ExtendedNoumenalState.from_json(lat22, payload)
     assert noumenal_distance(again.n, state.n) == 0.0
     assert max_abs(again.rho.matrix - state.rho.matrix) == 0.0
+
+
+def test_from_json_rejects_a_non_psd_anchor(lat22):
+    rho = DensityOperator(np.eye(4) / 4, lat22.global_system)
+    payload = ExtendedNoumenalState(identity_evolution(lat22.atom(0)), rho).to_json()
+    payload["anchor_rho"] = matrix_to_json(np.diag([1.5, -0.5, 0.0, 0.0]))
+    with pytest.raises(ValidationError, match="eigenvalue -0.5"):
+        ExtendedNoumenalState.from_json(lat22, payload)

@@ -8,8 +8,11 @@ from noumenal import (
     DimensionMismatch,
     DisjointnessViolation,
     IndexOutOfRange,
+    LatticeMismatch,
     NotSubsystem,
     ParseError,
+    System,
+    SystemLattice,
     UnitaryOperator,
     ValidationError,
     embed_operator,
@@ -25,7 +28,13 @@ from noumenal import (
     random_density_matrix,
     tensor_operators,
 )
-from conftest import embed_oracle, kron_index, partial_trace_oracle
+from conftest import (
+    embed_oracle,
+    index_map_oracle,
+    kron_index,
+    layout_oracle,
+    partial_trace_oracle,
+)
 
 TOL = 1e-12
 
@@ -84,6 +93,91 @@ def test_merge_errors(lat22):
         merge_indices(a, b, 0, -1)
     with pytest.raises(DisjointnessViolation):
         index_map(a, a)
+
+
+# ---------------------------------------------------------------------------
+# The lattice's memo tables: layouts and index maps.
+# ---------------------------------------------------------------------------
+
+def _disjoint_pairs(lattice):
+    full = (1 << lattice.n_atoms) - 1
+    for a in range(full + 1):
+        for b in range(full + 1):
+            if a & b == 0:
+                yield System(lattice, a), System(lattice, b)
+
+
+def test_index_map_matches_oracle_on_every_disjoint_pair(lat232):
+    pairs = list(_disjoint_pairs(lat232))
+    assert len(pairs) == 27
+    for a, b in pairs:
+        table = index_map(a, b)
+        assert table.dtype == np.intp
+        assert np.array_equal(table, index_map_oracle(a, b))
+
+
+@st.composite
+def lattice_and_disjoint_pair(draw):
+    dims = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    lattice = SystemLattice.from_dims(dims)
+    full = (1 << len(dims)) - 1
+    a = draw(st.integers(0, full))
+    b = draw(st.integers(0, full)) & ~a
+    return lattice, System(lattice, a), System(lattice, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=lattice_and_disjoint_pair())
+def test_index_map_and_layout_match_oracles_on_drawn_lattices(drawn):
+    lattice, a, b = drawn
+    assert np.array_equal(index_map(a, b), index_map_oracle(a, b))
+    assert np.array_equal(index_map(b, a), index_map_oracle(b, a))
+    for system in (a, b, a.union(b), a.complement()):
+        assert (system.atom_ids, system.atom_dims, system.dim) == layout_oracle(lattice, system.mask)
+
+
+def test_layout_matches_oracle_for_every_mask(lat232):
+    for mask in range(1 << lat232.n_atoms):
+        system = System(lat232, mask)
+        assert (system.atom_ids, system.atom_dims, system.dim) == layout_oracle(lat232, mask)
+    assert lat232.dims == (2, 3, 2)
+
+
+def test_index_map_is_shared_and_read_only(lat232):
+    a, b = lat232.system((0, 2)), lat232.system((1,))
+    table = index_map(a, b)
+    assert index_map(lat232.system((2, 0)), lat232.system((1,))) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    with pytest.raises(ValueError):
+        table.reshape(-1)[0] = 1
+    assert np.array_equal(table, index_map_oracle(a, b))
+
+
+def test_overlap_is_rejected_on_every_call(lat232):
+    a, ab = lat232.system((0,)), lat232.system((0, 1))
+    for _ in range(2):
+        with pytest.raises(DisjointnessViolation):
+            index_map(a, ab)
+    # Even an entry sitting in the table for an overlapping pair is never
+    # returned: the overlap check runs before the lookup.
+    lat232.index_maps[(a.mask, ab.mask)] = np.zeros((2, 6), dtype=np.intp)
+    with pytest.raises(DisjointnessViolation):
+        index_map(a, ab)
+
+
+def test_lattices_with_equal_dims_share_no_entries():
+    first, second = SystemLattice.from_dims([2, 3, 2]), SystemLattice.from_dims([2, 3, 2])
+    a1, b1 = first.atom(0), first.system((1, 2))
+    a2, b2 = second.atom(0), second.system((1, 2))
+    m1, m2 = index_map(a1, b1), index_map(a2, b2)
+    assert np.array_equal(m1, m2) and m1 is not m2
+    assert first.index_maps is not second.index_maps
+    assert first.digit_tables is not second.digit_tables
+    assert not {id(v) for v in first.index_maps.values()} & {id(v) for v in second.index_maps.values()}
+    with pytest.raises(LatticeMismatch):
+        index_map(a1, b2)
 
 
 # ---------------------------------------------------------------------------
