@@ -41,5 +41,5 @@ for step in record["steps"]:
 
 print(f"\nmax cross-check residual: {record['max_cross_check_residual']:.2e}")
 print("record keys:", sorted(record))
-print("full record is JSON-ready:", len(json.dumps(record)), "bytes")
+print("full record as JSON:", len(json.dumps(record, default=np.ndarray.tolist)), "bytes")
 assert record["passed"]

@@ -38,7 +38,6 @@ from .linalg import (
     embed_operator,
     haar_random_unitary,
     haar_unitary,
-    identity_operator,
     index_map,
     matrix_from_json,
     matrix_to_json,

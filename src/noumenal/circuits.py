@@ -102,21 +102,18 @@ def _parse_atoms(payload) -> SystemLattice:
         raise ParseError("'atoms' must be a non-empty list")
     atoms = []
     for entry in payload:
-        try:
-            atoms.append(AtomSpec(int(entry["id"]), int(entry["dim"]), entry.get("label")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed atom entry {entry!r}: {exc}") from exc
+        if not isinstance(entry, dict) or not all(type(entry.get(key)) is int for key in ("id", "dim")):
+            raise ParseError(f"atom entry must be an object with integer 'id' and 'dim', got {entry!r}")
+        atoms.append(AtomSpec(entry["id"], entry["dim"], entry.get("label")))
     return SystemLattice(sorted(atoms, key=lambda a: a.atom_id))
 
 
 def _parse_ids(payload, what: str) -> list[int]:
-    """A JSON list of atom ids; a string is rejected, not read digit by digit."""
-    if not isinstance(payload, list):
-        raise ParseError(f"{what} must be a list of atom ids, got {payload!r}")
-    try:
-        return [int(i) for i in payload]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{what} must be a list of atom ids, got {payload!r}") from exc
+    """A JSON list of atom ids.  Each must be an exact ``int``: a string is
+    not read digit by digit, nor a float or a bool truncated to an id."""
+    if not isinstance(payload, list) or not all(type(i) is int for i in payload):
+        raise ParseError(f"{what} must be a list of integer atom ids, got {payload!r}")
+    return payload
 
 
 def _parse_initial_state(payload, lattice: SystemLattice) -> DensityOperator:

@@ -157,50 +157,39 @@ class Law:
 # Noumenal product and partial trace.
 # ---------------------------------------------------------------------------
 
-def _law_product_trace_left(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
-    w = ctx.haar_global()
-    joint = ctx.evolution(w, a.union(b))
-    left = noumenal_partial_trace(joint, b)
-    right = noumenal_partial_trace(joint, a)
-    product = noumenal_product(left, right, check=False)
-    residual = noumenal_distance(noumenal_partial_trace(product, b), left)
-    return residual, {"w": w.matrix, "a": a, "b": b}
+def _restriction_law(residual):
+    """A law check on a random joint grid of a disjoint pair ``a ∪ b``, its two
+    restrictions and their unchecked product; ``residual(a, b, joint, left,
+    right, product)`` computes the law's own residual from them."""
+
+    def check(ctx: _TrialContext):
+        a, b = ctx.random_disjoint_pair()
+        w = ctx.haar_global()
+        joint = ctx.evolution(w, a.union(b))
+        left = noumenal_partial_trace(joint, b)
+        right = noumenal_partial_trace(joint, a)
+        product = noumenal_product(left, right, check=False)
+        return residual(a, b, joint, left, right, product), {"w": w.matrix, "a": a, "b": b}
+
+    return check
 
 
-def _law_product_trace_right(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
-    w = ctx.haar_global()
-    joint = ctx.evolution(w, a.union(b))
-    left = noumenal_partial_trace(joint, b)
-    right = noumenal_partial_trace(joint, a)
-    product = noumenal_product(left, right, check=False)
-    residual = noumenal_distance(noumenal_partial_trace(product, a), right)
-    return residual, {"w": w.matrix, "a": a, "b": b}
+def _left_recovery(a, b, joint, left, right, product):
+    return noumenal_distance(noumenal_partial_trace(product, b), left)
 
 
-def _law_unique_decomposition(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
-    w = ctx.haar_global()
-    joint = ctx.evolution(w, a.union(b))
-    left = noumenal_partial_trace(joint, b)
-    right = noumenal_partial_trace(joint, a)
-    product = noumenal_product(left, right, check=False)
-    residual = max(
-        noumenal_distance(noumenal_partial_trace(product, b), left),
-        noumenal_distance(noumenal_partial_trace(product, a), right),
-    )
-    return residual, {"w": w.matrix, "a": a, "b": b}
+def _right_recovery(a, b, joint, left, right, product):
+    return noumenal_distance(noumenal_partial_trace(product, a), right)
 
 
-def _law_trace_product_reconstruction(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
-    w = ctx.haar_global()
-    joint = ctx.evolution(w, a.union(b))
-    rebuilt = noumenal_product(
-        noumenal_partial_trace(joint, b), noumenal_partial_trace(joint, a), check=False
-    )
-    return noumenal_distance(rebuilt, joint), {"w": w.matrix, "a": a, "b": b}
+_law_product_trace_left = _restriction_law(_left_recovery)
+_law_product_trace_right = _restriction_law(_right_recovery)
+_law_unique_decomposition = _restriction_law(
+    lambda *grids: max(_left_recovery(*grids), _right_recovery(*grids))
+)
+_law_trace_product_reconstruction = _restriction_law(
+    lambda a, b, joint, left, right, product: noumenal_distance(product, joint)
+)
 
 
 def _law_partial_trace_via_global(ctx: _TrialContext):

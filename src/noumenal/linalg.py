@@ -6,7 +6,8 @@ basis indices into composite ones, embedding operators with identity padding
 on the remaining atoms (at their global positions, not contiguously), and
 partial traces over arbitrary atom subsets.
 
-Matrices serialize to JSON as nested row-major arrays of ``[re, im]`` pairs.
+Matrices serialize as row-major arrays of ``[re, im]`` pairs: a float64
+array in a record, nested JSON arrays in text.
 """
 
 from __future__ import annotations
@@ -61,13 +62,14 @@ def is_unitary(matrix: np.ndarray, tol: float = TOL_UNITARY) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON form: nested lists of [re, im] pairs, row-major.
+# JSON form: [re, im] pairs, row-major.
 # ---------------------------------------------------------------------------
 
-def matrix_to_json(matrix: np.ndarray) -> list:
-    """Nested lists of ``[re, im]`` pairs; accepts an array of any rank."""
+def matrix_to_json(matrix: np.ndarray) -> np.ndarray:
+    """The float64 array of ``[re, im]`` pairs (shape ``(*matrix.shape, 2)``)
+    of an array of any rank; ``.tolist()`` gives its JSON value."""
     matrix = np.asarray(matrix, dtype=np.complex128)
-    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
+    return np.stack((matrix.real, matrix.imag), axis=-1)
 
 
 def matrix_from_json(payload) -> np.ndarray:
@@ -111,9 +113,6 @@ class UnitaryOperator:
     def dim(self) -> int:
         return self.system.dim
 
-    def dagger(self) -> "UnitaryOperator":
-        return UnitaryOperator(self.matrix.conj().T, self.system)
-
     def compose(self, other: "UnitaryOperator") -> "UnitaryOperator":
         """``self @ other``: do ``other`` first, then ``self``."""
         if self.system != other.system:
@@ -121,10 +120,6 @@ class UnitaryOperator:
         return UnitaryOperator(self.matrix @ other.matrix, self.system)
 
     __matmul__ = compose
-
-
-def identity_operator(system: System) -> UnitaryOperator:
-    return UnitaryOperator(np.eye(system.dim, dtype=np.complex128), system)
 
 
 @dataclass(frozen=True, eq=False)

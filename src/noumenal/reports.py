@@ -8,9 +8,9 @@ front end relies on for reproducibility checks.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from itertools import chain
+
+import numpy as np
 
 
 @dataclass
@@ -67,8 +67,9 @@ class LawReport:
 class ScenarioResult:
     """Outcome of one scripted demonstration.
 
-    ``findings`` maps names to JSON-ready values (matrices, verdict booleans,
-    margins); ``summary`` holds human-oriented lines, one per key step.
+    ``findings`` maps names to record values: matrices as ``matrix_to_json``
+    arrays, verdict booleans and margins, all written by ``dump_json``;
+    ``summary`` holds human-oriented lines, one per key step.
     """
 
     scenario_id: str
@@ -124,8 +125,8 @@ def render_scenario(result: ScenarioResult) -> str:
 # JSON text.
 # ---------------------------------------------------------------------------
 
-#: Floats in the largest nest rendered as one string.  Bigger grids are
-#: walked down to nests of at most this many floats, so no string, list or
+#: Entries of the largest array rendered as one string.  Bigger arrays are
+#: walked down to rows of at most this many entries, so no string, list or
 #: write grows with the payload.
 BLOCK_FLOATS = 1024
 
@@ -134,14 +135,15 @@ WRITE_CHARS = 1 << 16
 
 
 def dump_json(payload, stream) -> None:
-    """Write exactly ``json.dumps(payload, indent=2)`` to ``stream``, without
-    the per-value generators of the pure-Python encoder that ``indent``
-    selects, in pieces of about ``WRITE_CHARS`` characters.
+    """Write exactly ``json.dumps(payload, indent=2, default=np.ndarray.tolist)``
+    to ``stream``, without the per-value generators of the pure-Python encoder
+    that ``indent`` selects, in pieces of about ``WRITE_CHARS`` characters.
 
-    Dicts with ``str`` keys, lists and tuples are walked; a rectangular nest
-    of at most ``BLOCK_FLOATS`` finite floats (a row of a serialized matrix
-    or grid) is rendered one nesting level at a time; every other value is
-    handed to ``json.dumps`` itself.
+    Dicts with ``str`` keys, lists and tuples are walked, and so are arrays of
+    more than ``BLOCK_FLOATS`` entries, along their first axis; a smaller
+    non-empty finite float64 array (a row of a serialized matrix or grid) is
+    rendered one nesting level at a time; every other value is handed to
+    ``json.dumps`` itself.
     """
     pending: list[str] = []
     size = 0
@@ -157,20 +159,26 @@ def dump_json(payload, stream) -> None:
 def _chunks(value, depth: int):
     """The text of ``value`` at nesting ``depth``, in order, as strings."""
     kind = type(value)
+    if kind is np.ndarray and value.size > BLOCK_FLOATS:
+        # Walked like a list: of rows, or of the Python scalars of a 1-D array.
+        kind, value = list, list(value) if value.ndim > 1 else value.tolist()
     if kind is dict and value and all(type(key) is str for key in value):
         brackets = "{}"
         entries = ((json.dumps(key) + ": ", item) for key, item in value.items())
     elif (kind is list or kind is tuple) and value:
-        block = _float_block(value, depth) if _nest_size(value) <= BLOCK_FLOATS else None
-        if block is not None:
-            yield block
-            return
         brackets = "[]"
         entries = (("", item) for item in value)
+    elif (
+        kind is np.ndarray and value.dtype == np.float64 and value.ndim and value.size
+        and np.isfinite(value).all()
+    ):
+        yield _float_block(value, depth)
+        return
     else:
         # JSON strings never hold a raw newline, so every newline here is a
         # line break that json.dumps would indent by the enclosing depth.
-        yield json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+        text = json.dumps(value, indent=2, default=np.ndarray.tolist)
+        yield text.replace("\n", "\n" + "  " * depth)
         return
     inner = "\n" + "  " * (depth + 1)
     separator = brackets[0] + inner
@@ -181,33 +189,15 @@ def _chunks(value, depth: int):
     yield "\n" + "  " * depth + brackets[1]
 
 
-def _nest_size(value) -> int:
-    """Leaves of ``value`` if it is a rectangular nest: the product of the
-    lengths down its first elements."""
-    size = 1
-    while (type(value) is list or type(value) is tuple) and value:
-        size *= len(value)
-        value = value[0]
-    return size
-
-
-def _float_block(value, depth: int) -> str | None:
-    """``value`` rendered at ``depth`` if it is a non-empty rectangular nest of
-    finite ``float``s (exact type: ``repr`` of a subclass may differ), else None."""
-    nodes, widths = [value], []
-    while (kinds := set(map(type, nodes))) != {float}:
-        lengths = set(map(len, nodes)) if kinds <= {list, tuple} else ()
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        widths.append(lengths.pop())
-        nodes = list(chain.from_iterable(nodes))
-    if not all(map(math.isfinite, nodes)):
-        return None
+def _float_block(value: np.ndarray, depth: int) -> str:
+    """A non-empty finite float64 array of rank >= 1 rendered at ``depth``,
+    one nesting level at a time (``%r`` of a Python float at the leaves)."""
+    nodes = value.ravel().tolist()
     spec = "%r"
-    for level in reversed(range(len(widths))):
+    for level in reversed(range(value.ndim)):
         inner = "\n" + "  " * (depth + level + 1)
-        fmt = "[" + inner + ("," + inner).join([spec] * widths[level])
+        fmt = "[" + inner + ("," + inner).join([spec] * value.shape[level])
         fmt += "\n" + "  " * (depth + level) + "]"
-        nodes = list(map(fmt.__mod__, zip(*[iter(nodes)] * widths[level])))
+        nodes = list(map(fmt.__mod__, zip(*[iter(nodes)] * value.shape[level])))
         spec = "%s"
     return nodes[0]

@@ -143,12 +143,18 @@ NON_PSD = matrix_to_json(np.diag([1.5, -0.5, 0.0, 0.0]))
         ("track", "01", "'track' must be a list"),
         ("track", ["0"], "'track' entry must be a list"),
         ("initial_state", NON_PSD, "eigenvalue -0.5"),
+        ("gates", [{"name": "H", "targets": [0.7]}], "gate 'targets' must be a list of integer"),
+        ("gates", [{"name": "H", "targets": [True]}], "gate 'targets' must be a list of integer"),
+        ("atoms", [{"id": 0, "dim": 2.9}, {"id": 1, "dim": 2}], "integer 'id' and 'dim'"),
+        ("atoms", [{"id": 0, "dim": 2}, {"id": True, "dim": 2}], "integer 'id' and 'dim'"),
+        # 1e999 reads as inf, here and in json.loads; int(inf) raises OverflowError.
+        ("atoms", [{"id": 0, "dim": 1e999}, {"id": 1, "dim": 2}], "integer 'id' and 'dim'"),
     ],
 )
 def test_malformed_circuit_files_are_input_errors(capsys, tmp_path, field, value, reason):
     payload = {"atoms": [{"id": 0, "dim": 2}, {"id": 1, "dim": 2}], field: value}
     path = tmp_path / "circuit.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload, default=np.ndarray.tolist))
     code, out, err = run_cli(capsys, "simulate", "--file", str(path))
     assert code == 2
     assert out == ""
@@ -216,7 +222,7 @@ def test_simulate_explicit_matrix_gate(capsys, tmp_path):
         "track": [[1]],
     }
     path = tmp_path / "rot.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload, default=np.ndarray.tolist))
     code, out, _ = run_cli(capsys, "simulate", "--file", str(path), "--format", "json")
     assert code == 0
     final = json.loads(out)["steps"][-1]["tracked"][0]
@@ -228,7 +234,8 @@ def test_simulate_explicit_matrix_gate(capsys, tmp_path):
 def test_simulate_json_is_json_dumps_of_the_record(capsys, bell_file):
     code, out, _ = run_cli(capsys, "simulate", "--file", bell_file, "--format", "json")
     assert code == 0
-    assert out == json.dumps(simulate_circuit(load_circuit(bell_file)), indent=2) + "\n"
+    record = simulate_circuit(load_circuit(bell_file))
+    assert out == json.dumps(record, indent=2, default=np.ndarray.tolist) + "\n"
 
 
 ids = (
@@ -256,12 +263,19 @@ diagonal_states = st.lists(st.floats(-1, 2), min_size=3, max_size=3).map(
 )
 
 
-def _with_off_diagonal(value: float) -> list:
+def _with_off_diagonal(value: float) -> np.ndarray:
     matrix = np.diag([1.0, 0.0, 0.0, 0.0])
     matrix[0, 1] = matrix[1, 0] = value
     return matrix_to_json(matrix)
 
 
+atom_entries = (
+    st.fixed_dictionaries(
+        {"id": st.integers(0, 2) | ids, "dim": st.integers(-1, 3) | st.sampled_from([True, 2.0, 2.9, 1e999])}
+    )
+    | field_values
+)
+atoms = st.lists(atom_entries, max_size=3) | field_values
 initial_states = (
     st.lists(st.lists(pairs, min_size=1, max_size=5), min_size=1, max_size=5)
     | diagonal_states
@@ -272,15 +286,27 @@ initial_states = (
 
 def _must_reject(field, value) -> bool:
     """Inputs that a correct parser always refuses with exit 2."""
+
+    def not_ids(ids) -> bool:
+        return not isinstance(ids, list) or any(type(i) is not int for i in ids)
+
     if isinstance(field, int):  # one gate's targets
-        return not isinstance(value, list)
+        return not_ids(value)
+    if field == "atoms":
+        if not isinstance(value, list) or not value or any(not isinstance(entry, dict) for entry in value):
+            return True
+        if not_ids([entry.get(key) for entry in value for key in ("id", "dim")]):
+            return True
+        return sorted(entry["id"] for entry in value) != list(range(len(value))) or any(
+            entry["dim"] < 2 for entry in value
+        )
     if value is None:  # the field's default
         return False
     if field == "track":
-        return not isinstance(value, list) or any(not isinstance(ids, list) for ids in value)
+        return not isinstance(value, list) or any(not_ids(ids) for ids in value)
     if field == "gates":
         return not isinstance(value, list) or any(
-            not isinstance(entry, dict) or not isinstance(entry.get("targets"), list) for entry in value
+            not isinstance(entry, dict) or not_ids(entry.get("targets")) for entry in value
         )
     try:  # initial_state
         matrix = np.array(value, dtype=float)
@@ -297,6 +323,7 @@ def _must_reject(field, value) -> bool:
         st.tuples(st.sampled_from(["track", 0, 1, 2]), field_values),
         st.tuples(st.just("gates"), st.lists(gate_entries, max_size=3) | field_values),
         st.tuples(st.just("initial_state"), initial_states),
+        st.tuples(st.just("atoms"), atoms),
     )
 )
 @example(drawn=(0, [math.inf]))
@@ -304,6 +331,10 @@ def _must_reject(field, value) -> bool:
 @example(drawn=("gates", 5))
 @example(drawn=("track", "01"))
 @example(drawn=("initial_state", NON_PSD))
+@example(drawn=(0, [0.7]))
+@example(drawn=("atoms", [{"id": 0, "dim": 2.9}, {"id": 1, "dim": 2}]))
+@example(drawn=("atoms", [{"id": 0, "dim": 2}, {"id": True, "dim": 2}]))
+@example(drawn=("atoms", [{"id": 0, "dim": 1e999}, {"id": 1, "dim": 2}]))
 def test_malformed_circuit_fields_never_escape(tmp_path_factory, drawn):
     field, value = drawn
     payload = {
@@ -320,7 +351,7 @@ def test_malformed_circuit_fields_never_escape(tmp_path_factory, drawn):
     else:
         payload[field] = value
     path = tmp_path_factory.mktemp("fuzz") / "circuit.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload, default=np.ndarray.tolist))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["simulate", "--file", str(path)])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -110,3 +115,19 @@ def test_demo_determinism(lat22):
 def test_scenario_result_round_trip(lat22):
     result = bell_incompleteness_demo(lat22)
     assert ScenarioResult.from_json(result.to_json()).to_json() == result.to_json()
+
+
+def test_demo_scripts_run():
+    root = Path(__file__).resolve().parent.parent
+    scripts = sorted((root / "demos").glob("*.py"))
+    assert scripts
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    for script in scripts:
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, f"{script.name} exited {proc.returncode}:\n{proc.stderr}"

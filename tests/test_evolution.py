@@ -389,7 +389,7 @@ def test_equality_is_reflexive_and_system_checked(lat22, rng):
 
 def test_grid_json_round_trip(lat23, rng):
     n = from_global_unitary(global_haar(lat23, rng), lat23.atom(1))
-    payload = json.loads(json.dumps(n.to_json()))
+    payload = json.loads(json.dumps(n.to_json(), default=np.ndarray.tolist))
     again = EvolutionMatrix.from_json(lat23, payload)
     assert again.system == n.system
     assert again.basis_tag == n.basis_tag

@@ -152,7 +152,7 @@ def test_serialization_round_trip(lat22, rng):
 
     rho = DensityOperator(random_density_matrix(4, rng), lat22.global_system)
     state = ExtendedNoumenalState(identity_evolution(lat22.atom(0)), rho)
-    payload = json.loads(json.dumps(state.to_json()))
+    payload = json.loads(json.dumps(state.to_json(), default=np.ndarray.tolist))
     assert set(payload) == {"noumenal", "anchor_rho"}
     assert payload["noumenal"]["system"] == [0]
     again = ExtendedNoumenalState.from_json(lat22, payload)

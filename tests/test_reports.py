@@ -3,12 +3,17 @@ import json
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from noumenal import matrix_to_json
-from noumenal.reports import WRITE_CHARS, _float_block, dump_json
+from noumenal import matrix_to_json, reports
+from noumenal.reports import BLOCK_FLOATS, WRITE_CHARS, _float_block, dump_json
 
-# json.dumps(indent=2) is the reference oracle for every test below.
+
+def oracle(value) -> str:
+    """The reference for every test below: the stdlib encoder, arrays as lists."""
+    return json.dumps(value, indent=2, default=np.ndarray.tolist)
+
 
 EDGE_FLOATS = (0.0, -0.0, 1e16, 1e-5, 5e-324, 2.2e-308, 1.5e300, math.nan, math.inf, -math.inf)
 floats = st.floats() | st.sampled_from(EDGE_FLOATS)
@@ -39,11 +44,15 @@ def rectangular(leaves):
     )
 
 
+array_shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
 grids = (
     rectangular(finite_floats)
     | rectangular(floats)
     | rectangular(finite_floats | st.integers())
     | rectangular(finite_floats.map(np.float64))
+    | hnp.arrays(np.float64, array_shapes, elements=finite_floats)
+    | hnp.arrays(np.float64, array_shapes, elements=floats)
+    | hnp.arrays(np.int64, array_shapes)
 )
 json_values = st.recursive(
     scalars | grids,
@@ -57,33 +66,50 @@ json_values = st.recursive(
 
 @settings(deadline=None)
 @given(json_values)
+@example(np.array(0.5))
+@example({"empty": np.empty((2, 0))})
 def test_dumps_json_matches_json_dumps(value):
-    assert dumps_json(value) == json.dumps(value, indent=2)
+    assert dumps_json(value) == oracle(value)
 
 
 @given(rectangular(finite_floats), st.integers(0, 3))
 def test_finite_float_grids_take_the_level_renderer(grid, depth):
     expected = json.dumps(grid, indent=2).replace("\n", "\n" + "  " * depth)
-    assert _float_block(grid, depth) == expected
+    assert _float_block(np.array(grid), depth) == expected
 
 
-def test_serialized_matrix_takes_the_level_renderer():
+def test_serialized_matrix_takes_the_level_renderer(monkeypatch):
     grid = matrix_to_json(np.arange(8).reshape(2, 2, 2) * (1 + 0.5j))
     assert _float_block(grid, 1) is not None
-    assert dumps_json({"grid": grid}) == json.dumps({"grid": grid}, indent=2)
+    shapes = []
+    monkeypatch.setattr(
+        reports, "_float_block", lambda value, depth: shapes.append(value.shape) or _float_block(value, depth)
+    )
+    assert dumps_json({"grid": grid}) == oracle({"grid": grid})
+    assert shapes == [grid.shape]
 
 
 def test_dump_json_writes_a_large_grid_in_bounded_pieces():
-    payload = {"entries": matrix_to_json(np.arange(2 * 2 * 64 * 64).reshape(2, 2, 64, 64) / 7j)}
-    # Rows that fall back to json.dumps inside a grid walked row by row.
-    payload["entries"][0][1][5][3][0] = math.nan
-    payload["entries"][1][1][0][0][1] = 3
+    entries = matrix_to_json(np.arange(2 * 2 * 64 * 64).reshape(2, 2, 64, 64) / 7j)
+    # A row that falls back to json.dumps inside a grid walked row by row.
+    entries[0, 1, 5, 3, 0] = math.nan
+    # The same rows as lists, with an int leaf, take the generic walk.
+    rows = entries[1].tolist()
+    rows[1][0][0][1] = 3
+    # Large 1-D, non-finite and integer arrays are walked too.
+    payload = {
+        "entries": entries,
+        "rows": rows,
+        "flat": np.linspace(0, 1, 3 * BLOCK_FLOATS),
+        "infinite": np.full(BLOCK_FLOATS + 1, -math.inf),
+        "ints": np.arange(4 * BLOCK_FLOATS).reshape(2, -1),
+    }
 
     class Pieces(list):
         write = list.append
 
     pieces = Pieces()
     dump_json(payload, pieces)
-    assert "".join(pieces) == json.dumps(payload, indent=2)
+    assert "".join(pieces) == oracle(payload)
     assert len(pieces) > 10
     assert max(map(len, pieces)) < 2 * WRITE_CHARS
