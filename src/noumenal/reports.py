@@ -7,6 +7,7 @@ front end relies on for reproducibility checks.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -190,14 +191,20 @@ def _chunks(value, depth: int):
 
 
 def _float_block(value: np.ndarray, depth: int) -> str:
-    """A non-empty finite float64 array of rank >= 1 rendered at ``depth``,
-    one nesting level at a time (``%r`` of a Python float at the leaves)."""
-    nodes = value.ravel().tolist()
-    spec = "%r"
-    for level in reversed(range(value.ndim)):
+    """A non-empty finite float64 array of rank >= 1 rendered at ``depth``:
+    one ``%`` over the template of its shape (``%r`` of a Python float at
+    the leaves)."""
+    return _template(value.shape, depth) % tuple(value.ravel().tolist())
+
+
+@functools.cache
+def _template(shape: tuple[int, ...], depth: int) -> str:
+    """The ``%`` format of a float block of ``shape`` at ``depth``.  All
+    subtrees of one level are the same text, so it is built from the
+    innermost level outwards."""
+    text = "%r"
+    for level in reversed(range(len(shape))):
         inner = "\n" + "  " * (depth + level + 1)
-        fmt = "[" + inner + ("," + inner).join([spec] * value.shape[level])
-        fmt += "\n" + "  " * (depth + level) + "]"
-        nodes = list(map(fmt.__mod__, zip(*[iter(nodes)] * value.shape[level])))
-        spec = "%s"
-    return nodes[0]
+        close = "\n" + "  " * (depth + level) + "]"
+        text = "[" + inner + ("," + inner).join([text] * shape[level]) + close
+    return text
