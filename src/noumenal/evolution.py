@@ -123,10 +123,7 @@ class EvolutionMatrix(OperatorMatrix):
     @classmethod
     def from_json(cls, lattice, payload: dict, validate: bool = True) -> "EvolutionMatrix":
         system = lattice.system(payload["system"])
-        entries = np.array(
-            [[matrix_from_json(m) for m in row] for row in payload["entries"]],
-            dtype=np.complex128,
-        )
+        entries = matrix_from_json(payload["entries"], rank=4)
         return cls(system, entries, payload.get("basis_tag", CANONICAL), validate=validate)
 
 
@@ -199,7 +196,8 @@ def from_global_unitary(w: UnitaryOperator, a_sys: System) -> EvolutionMatrix:
     rest = a_sys.complement()
     perm = index_map(a_sys, rest).reshape(-1)
     grouped = w.matrix[perm, :].reshape(a_sys.dim, rest.dim, w.system.dim)
-    entries = np.einsum("jyp,iyq->ijpq", grouped.conj(), grouped)
+    gram_left = np.ascontiguousarray(grouped.conj().transpose(0, 2, 1))
+    entries = np.matmul(gram_left[None], grouped[:, None])
     return EvolutionMatrix._trusted(a_sys, entries, CANONICAL)
 
 
@@ -266,7 +264,7 @@ def noumenal_product(
     perm = index_map(na.system, nb.system)  # also rejects overlapping systems
     union = na.system.union(nb.system)
     big_d = na.global_dim
-    prod = np.einsum("ijpq,klqr->ikjlpr", na.entries, nb.entries)
+    prod = na.entries[:, None, :, None] @ nb.entries[None, :, None, :]
     out = np.empty((union.dim, union.dim, big_d, big_d), dtype=np.complex128)
     out[perm[:, :, None, None], perm[None, None, :, :]] = prod
     result = EvolutionMatrix._trusted(union, out, na.basis_tag)

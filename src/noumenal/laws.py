@@ -92,23 +92,23 @@ class _TrialContext:
             return System(self.lattice, mask)
         return self.lattice.atom(0)
 
-    def random_disjoint_pair(self) -> tuple[System, System]:
+    def _labelled_masks(self, labels: int, parts: int) -> list[int]:
+        """Draw one of ``labels`` labels per atom; the masks of labels ``0..parts-1``."""
         n = self.lattice.n_atoms
-        if n < 2:
+        drawn = self.rng.integers(0, labels, size=n)
+        return [sum(1 << i for i in range(n) if drawn[i] == part) for part in range(parts)]
+
+    def random_disjoint_pair(self) -> tuple[System, System]:
+        if self.lattice.n_atoms < 2:
             return self.lattice.global_system, self.lattice.empty_system
         for _ in range(256):
-            labels = self.rng.integers(0, 3, size=n)
-            a_mask = sum(1 << i for i in range(n) if labels[i] == 0)
-            b_mask = sum(1 << i for i in range(n) if labels[i] == 1)
+            a_mask, b_mask = self._labelled_masks(3, 2)
             if a_mask and b_mask:
                 return System(self.lattice, a_mask), System(self.lattice, b_mask)
         return self.lattice.atom(0), self.lattice.atom(1)
 
     def random_three_split(self) -> tuple[System, System, System]:
-        n = self.lattice.n_atoms
-        labels = self.rng.integers(0, 4, size=n)
-        masks = [sum(1 << i for i in range(n) if labels[i] == part) for part in range(3)]
-        return tuple(System(self.lattice, mask) for mask in masks)
+        return tuple(System(self.lattice, mask) for mask in self._labelled_masks(4, 3))
 
     # -- random operators and states --------------------------------------
 

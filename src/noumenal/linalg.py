@@ -55,7 +55,7 @@ def as_complex_matrix(data, rows: int | None = None, cols: int | None = None) ->
 
 def is_unitary(matrix: np.ndarray, tol: float = TOL_UNITARY) -> bool:
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not np.isfinite(matrix).all():
         return False
     gram = matrix.conj().T @ matrix
     return max_abs(gram - np.eye(matrix.shape[0])) <= tol
@@ -72,14 +72,22 @@ def matrix_to_json(matrix: np.ndarray) -> np.ndarray:
     return np.stack((matrix.real, matrix.imag), axis=-1)
 
 
-def matrix_from_json(payload) -> np.ndarray:
+def matrix_from_json(payload, rank: int = 2) -> np.ndarray:
+    """The complex array of ``rank`` axes held in a ``matrix_to_json`` payload.
+
+    Every leaf must be a JSON number: strings, booleans, ragged nests and
+    integers too large for a float raise ``ParseError``.
+    """
     try:
-        arr = np.asarray(payload, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.array(payload, dtype=object)
+        if not set(map(type, arr.flat)) <= {int, float}:
+            raise ValueError("entries must be numbers")
+        arr = arr.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix payload: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ParseError(f"matrix payload must be rows x cols x [re,im], got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    if arr.ndim != rank + 1 or arr.shape[-1] != 2:
+        raise ParseError(f"matrix payload must be {rank} axes x [re,im], got shape {arr.shape}")
+    return arr.view(np.complex128)[..., 0]
 
 
 # ---------------------------------------------------------------------------

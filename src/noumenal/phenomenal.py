@@ -36,7 +36,8 @@ def phenomenal_action(u: UnitaryOperator, rho: DensityOperator) -> DensityOperat
 
 def phi_matrix(entries: np.ndarray, rho_matrix: np.ndarray) -> np.ndarray:
     """Raw epimorphism: the matrix with ``(i, j)`` entry ``tr(entries[i,j] rho)``."""
-    return np.einsum("ijpq,qp->ij", entries, rho_matrix)
+    d = entries.shape[0]
+    return entries.reshape(d, d, -1) @ rho_matrix.T.reshape(-1)
 
 
 def phi(rho_ref: DensityOperator, n: OperatorMatrix) -> DensityOperator:

@@ -139,6 +139,18 @@ def evolution_oracle(w_matrix: np.ndarray, a_sys: System) -> np.ndarray:
     return out
 
 
+def product_oracle(na, nb) -> np.ndarray:
+    """Grid product entry by entry: ``out[(i,k),(j,l)] = N^A_ij @ N^B_kl``,
+    with the merged positions found by ``kron_index``."""
+    a_sys, b_sys = na.system, nb.system
+    dim, big_d = a_sys.dim * b_sys.dim, na.global_dim
+    out = np.zeros((dim, dim, big_d, big_d), dtype=np.complex128)
+    for i, j, k, l in itertools.product(range(a_sys.dim), range(a_sys.dim), range(b_sys.dim), range(b_sys.dim)):
+        row, col = kron_index(a_sys, b_sys, i, k), kron_index(a_sys, b_sys, j, l)
+        out[row, col] = na.entries[i, j] @ nb.entries[k, l]
+    return out
+
+
 def conjugation_oracle(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Grid-axis conjugation as one three-operand einsum:
     ``(i, j) -> sum_kl x_ik entries[k, l] conj(x_jl)``."""

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,12 @@ NON_PSD = matrix_to_json(np.diag([1.5, -0.5, 0.0, 0.0]))
         ("atoms", [{"id": 0, "dim": 2}, {"id": True, "dim": 2}], "integer 'id' and 'dim'"),
         # 1e999 reads as inf, here and in json.loads; int(inf) raises OverflowError.
         ("atoms", [{"id": 0, "dim": 1e999}, {"id": 1, "dim": 2}], "integer 'id' and 'dim'"),
+        ("gates", [{"matrix": [[["0", "0"], ["1", "0"]], [["1", "0"], ["0", "0"]]], "targets": [1]}],
+         "malformed matrix payload"),
+        ("gates", [{"matrix": [[[False, False], [True, False]], [[True, False], [False, False]]],
+                    "targets": [1]}], "malformed matrix payload"),
+        ("gates", [{"matrix": [[[0, 0], [10**400, 0]], [[1, 0], [0, 0]]], "targets": [1]}],
+         "malformed matrix payload"),
     ],
 )
 def test_malformed_circuit_files_are_input_errors(capsys, tmp_path, field, value, reason):
@@ -269,6 +276,22 @@ def _with_off_diagonal(value: float) -> np.ndarray:
     return matrix_to_json(matrix)
 
 
+def _x_with(value) -> list:
+    """The X gate's ``[re, im]`` nest with one entry replaced by ``value``."""
+    nest = matrix_to_json(GATES["X"]).tolist()
+    nest[0][1][0] = value
+    return nest
+
+
+HUGE = 10**400  # a JSON integer no float holds
+gate_matrices = (
+    st.integers(1, 4).map(lambda n: matrix_to_json(np.eye(n)))  # shape (n, n, 2)
+    | st.lists(st.lists(st.lists(st.floats(-2, 2), max_size=3), max_size=3), max_size=3)
+    | st.sampled_from([math.nan, math.inf, -math.inf, HUGE, "1", True]).map(_x_with)
+    | st.floats(0, 2).map(lambda scale: matrix_to_json(scale * GATES["X"]))
+    | st.lists(st.floats(-1, 1), min_size=8, max_size=8).map(lambda v: np.reshape(v, (2, 2, 2)))
+    | field_values
+)
 atom_entries = (
     st.fixed_dictionaries(
         {"id": st.integers(0, 2) | ids, "dim": st.integers(-1, 3) | st.sampled_from([True, 2.0, 2.9, 1e999])}
@@ -282,6 +305,18 @@ initial_states = (
     | st.sampled_from([math.nan, math.inf, -math.inf]).map(_with_off_diagonal)
     | field_values
 )
+
+
+def _number_nest(value):
+    """``(shape, leaves)`` of a rectangular nest of JSON numbers, else ``None``."""
+    if type(value) in (int, float):
+        return (), [value]
+    if not isinstance(value, list) or not value:
+        return None
+    parts = [_number_nest(item) for item in value]
+    if None in parts or len({shape for shape, _ in parts}) != 1:
+        return None
+    return (len(value), *parts[0][0]), [leaf for _, leaves in parts for leaf in leaves]
 
 
 def _must_reject(field, value) -> bool:
@@ -300,6 +335,15 @@ def _must_reject(field, value) -> bool:
         return sorted(entry["id"] for entry in value) != list(range(len(value))) or any(
             entry["dim"] < 2 for entry in value
         )
+    if field == "matrix":  # the X gate's matrix, on a qubit
+        nest = _number_nest(json.loads(json.dumps(value, default=np.ndarray.tolist)))
+        if nest is None or nest[0] != (2, 2, 2) or any(abs(leaf) > 1e300 for leaf in nest[1]):
+            return True
+        pairs = np.array(nest[1], dtype=float).reshape(2, 2, 2)
+        if not np.isfinite(pairs).all():
+            return True
+        matrix = pairs[..., 0] + 1j * pairs[..., 1]
+        return bool(np.abs(matrix @ matrix.conj().T - np.eye(2)).max() > 1e-6)
     if value is None:  # the field's default
         return False
     if field == "track":
@@ -324,6 +368,7 @@ def _must_reject(field, value) -> bool:
         st.tuples(st.just("gates"), st.lists(gate_entries, max_size=3) | field_values),
         st.tuples(st.just("initial_state"), initial_states),
         st.tuples(st.just("atoms"), atoms),
+        st.tuples(st.just("matrix"), gate_matrices),
     )
 )
 @example(drawn=(0, [math.inf]))
@@ -331,10 +376,17 @@ def _must_reject(field, value) -> bool:
 @example(drawn=("gates", 5))
 @example(drawn=("track", "01"))
 @example(drawn=("initial_state", NON_PSD))
+@example(drawn=("initial_state", [[[0.0, math.inf]]]))
 @example(drawn=(0, [0.7]))
 @example(drawn=("atoms", [{"id": 0, "dim": 2.9}, {"id": 1, "dim": 2}]))
 @example(drawn=("atoms", [{"id": 0, "dim": 2}, {"id": True, "dim": 2}]))
 @example(drawn=("atoms", [{"id": 0, "dim": 1e999}, {"id": 1, "dim": 2}]))
+@example(drawn=("matrix", matrix_to_json(np.eye(3))))
+@example(drawn=("matrix", [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]]))
+@example(drawn=("matrix", _x_with(1e999)))
+@example(drawn=("matrix", matrix_to_json(2 * GATES["X"])))
+@example(drawn=("matrix", _x_with("1")))
+@example(drawn=("matrix", _x_with(HUGE)))
 def test_malformed_circuit_fields_never_escape(tmp_path_factory, drawn):
     field, value = drawn
     payload = {
@@ -348,14 +400,19 @@ def test_malformed_circuit_fields_never_escape(tmp_path_factory, drawn):
     }
     if isinstance(field, int):
         payload["gates"][field]["targets"] = value
+    elif field == "matrix":
+        payload["gates"][2]["matrix"] = value
     else:
         payload[field] = value
     path = tmp_path_factory.mktemp("fuzz") / "circuit.json"
     path.write_text(json.dumps(payload, default=np.ndarray.tolist))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["simulate", "--file", str(path)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--file", str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
     if _must_reject(field, value):
         assert code == 2

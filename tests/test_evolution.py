@@ -12,6 +12,8 @@ from noumenal import (
     NotGlobalOperator,
     NotOrthonormal,
     OperatorMatrix,
+    ParseError,
+    System,
     SystemMismatch,
     UnitaryOperator,
     change_of_basis,
@@ -28,7 +30,12 @@ from noumenal import (
     noumenal_partial_trace,
     noumenal_product,
 )
-from conftest import conjugation_oracle, evolution_oracle, product_residual_oracle
+from conftest import (
+    conjugation_oracle,
+    evolution_oracle,
+    product_oracle,
+    product_residual_oracle,
+)
 
 TOL = 1e-9
 
@@ -61,10 +68,11 @@ def test_hadamard_entry(lat22):
 
 
 def test_matches_conjugation_oracle(lat232, rng):
-    a = lat232.system((0, 2))
+    # Every system, from the empty one to the global one; (0, 2) first.
     w = global_haar(lat232, rng)
-    n = from_global_unitary(w, a)
-    assert max_abs(n.entries - evolution_oracle(w.matrix, a)) < 1e-12
+    for a in [lat232.system((0, 2))] + [System(lat232, mask) for mask in range(8)]:
+        n = from_global_unitary(w, a)
+        assert max_abs(n.entries - evolution_oracle(w.matrix, a)) < 1e-12, a
 
 
 def test_operation_on_complement_changes_nothing(lat222, rng):
@@ -201,6 +209,18 @@ def test_product_of_restrictions_is_joint_state(lat222, rng):
     w = global_haar(lat222, rng)
     product = noumenal_product(from_global_unitary(w, a), from_global_unitary(w, b))
     assert noumenal_distance(product, from_global_unitary(w, a.union(b))) < TOL
+
+
+def test_product_matches_entrywise_oracle(lat222, rng):
+    # Every ordered disjoint pair, empty systems included, from unrelated
+    # evolutions: the kernel must place each operator product whatever the grids.
+    pairs = [(a, b) for a in range(8) for b in range(8) if not a & b]
+    assert len(pairs) == 27
+    for a_mask, b_mask in pairs:
+        na = from_global_unitary(global_haar(lat222, rng), System(lat222, a_mask))
+        nb = from_global_unitary(global_haar(lat222, rng), System(lat222, b_mask))
+        product = noumenal_product(na, nb, check=False)
+        assert max_abs(product.entries - product_oracle(na, nb)) < 1e-12, (a_mask, b_mask)
 
 
 def test_tracing_product_recovers_factors(lat22, rng):
@@ -394,3 +414,23 @@ def test_grid_json_round_trip(lat23, rng):
     assert again.system == n.system
     assert again.basis_tag == n.basis_tag
     assert np.array_equal(again.entries, n.entries)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[[[[1.0, 0.0]]]], [[[[0.0, 0.0]]], [[[1.0, 0.0]]]]],  # ragged
+        np.zeros((2, 2, 6, 6, 3)),  # last axis is not [re, im]
+        np.zeros((2, 6, 6, 2)),  # one axis short
+        "entries",
+        np.full((2, 2, 6, 6, 2), "0.5").tolist(),  # numbers written as strings
+        np.full((2, 2, 6, 6, 2), False).tolist(),
+        [[[[[10**400, 0]]]]],  # too large for a float
+    ],
+    ids=["ragged", "last-axis", "rank", "string", "numeric-strings", "bools", "huge-int"],
+)
+def test_grid_json_rejects_malformed_entries(lat23, rng, entries):
+    payload = from_global_unitary(global_haar(lat23, rng), lat23.atom(1)).to_json()
+    payload["entries"] = entries
+    with pytest.raises(ParseError):
+        EvolutionMatrix.from_json(lat23, json.loads(json.dumps(payload, default=np.ndarray.tolist)))

@@ -5,6 +5,7 @@ from noumenal import (
     GATES,
     BasisMismatch,
     DensityOperator,
+    System,
     SystemMismatch,
     UnitaryOperator,
     ValidationError,
@@ -30,6 +31,7 @@ from noumenal import (
     trace_commutation_residual,
     unitary_mapping,
 )
+from noumenal.phenomenal import phi_matrix
 
 TOL = 1e-9
 
@@ -106,6 +108,16 @@ def test_phi_matches_reduction_oracle(lat222, rng):
         evolved = w.matrix @ rho.matrix @ w.matrix.conj().T
         direct = partial_trace(evolved, s, a.complement())
         assert max_abs(via_grid.matrix - direct) < TOL
+
+
+def test_phi_matrix_matches_trace_loop(lat232, rng):
+    s = lat232.global_system
+    rho = random_density_matrix(s.dim, rng)
+    for mask in range(8):
+        entries = from_global_unitary(haar_unitary(s, rng), System(lat232, mask)).entries
+        d = entries.shape[0]
+        expected = np.array([[np.trace(entries[i, j] @ rho) for j in range(d)] for i in range(d)])
+        assert max_abs(phi_matrix(entries, rho) - expected) < 1e-12, mask
 
 
 def test_phi_requires_canonical_basis(lat22, rng):
