@@ -233,29 +233,23 @@ def simulate_circuit(circuit: Circuit, tol: float = TOL_EQ) -> dict:
     w_total = np.eye(lattice.global_dim, dtype=np.complex128)
     steps = []
     worst = 0.0
-
-    tracked, step_worst = _snapshot(circuit, w_total, tol)
-    worst = max(worst, step_worst)
-    steps.append({"step": 0, "gate": None, "targets": None, "tracked": tracked})
-
-    for t, gate in enumerate(circuit.gates, start=1):
-        unitary = gate_unitary(gate, lattice)
-        w_total = embed_operator(unitary.matrix, unitary.system) @ w_total
+    for t, gate in enumerate([None, *circuit.gates]):  # step 0 is the initial state
+        if gate is not None:
+            unitary = gate_unitary(gate, lattice)
+            w_total = embed_operator(unitary.matrix, unitary.system) @ w_total
         tracked, step_worst = _snapshot(circuit, w_total, tol)
         worst = max(worst, step_worst)
         steps.append(
             {
                 "step": t,
-                "gate": gate.name if gate.name is not None else "matrix",
-                "targets": list(gate.targets),
+                "gate": None if gate is None else gate.name or "matrix",
+                "targets": None if gate is None else list(gate.targets),
                 "tracked": tracked,
             }
         )
 
     return {
-        "atoms": [
-            {"id": a.atom_id, "dim": a.dim, "label": a.label} for a in lattice.atoms
-        ],
+        "atoms": [{"id": a.atom_id, "dim": a.dim, "label": a.label} for a in lattice.atoms],
         "initial_state": matrix_to_json(circuit.anchor.matrix),
         "steps": steps,
         "max_cross_check_residual": worst,

@@ -73,11 +73,8 @@ def matrix_to_json(matrix: np.ndarray) -> np.ndarray:
 
 
 def matrix_from_json(payload, rank: int = 2) -> np.ndarray:
-    """The complex array of ``rank`` axes held in a ``matrix_to_json`` payload.
-
-    Every leaf must be a JSON number: strings, booleans, ragged nests and
-    integers too large for a float raise ``ParseError``.
-    """
+    """The complex array of ``rank`` axes in a ``matrix_to_json`` payload,
+    whose leaves must all be JSON numbers that fit a float."""
     try:
         arr = np.array(payload, dtype=object)
         if not set(map(type, arr.flat)) <= {int, float}:
@@ -259,17 +256,8 @@ def embed_operator(
         within = a_sys.lattice.global_system
     if not a_sys.is_subsystem_of(within):
         raise NotSubsystem(f"{a_sys} is not contained in {within}")
-    op = as_complex_matrix(op)
-    if op.shape != (a_sys.dim, a_sys.dim):
-        raise DimensionMismatch(
-            f"operator is {op.shape}, but system {a_sys} has dimension {a_sys.dim}"
-        )
     rest = within.difference(a_sys)
-    perm = index_map(a_sys, rest).reshape(-1)
-    grouped = np.kron(op, np.eye(rest.dim, dtype=np.complex128))
-    out = np.empty((within.dim, within.dim), dtype=np.complex128)
-    out[np.ix_(perm, perm)] = grouped
-    return out
+    return tensor_operators(op, a_sys, np.eye(rest.dim), rest)
 
 
 def tensor_operators(

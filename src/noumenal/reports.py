@@ -191,17 +191,14 @@ def _chunks(value, depth: int):
 
 
 def _float_block(value: np.ndarray, depth: int) -> str:
-    """A non-empty finite float64 array of rank >= 1 rendered at ``depth``:
-    one ``%`` over the template of its shape (``%r`` of a Python float at
-    the leaves)."""
+    """A non-empty finite float64 array of rank >= 1 rendered at ``depth``."""
     return _template(value.shape, depth) % tuple(value.ravel().tolist())
 
 
-@functools.cache
+@functools.lru_cache(maxsize=128)
 def _template(shape: tuple[int, ...], depth: int) -> str:
-    """The ``%`` format of a float block of ``shape`` at ``depth``.  All
-    subtrees of one level are the same text, so it is built from the
-    innermost level outwards."""
+    """The format of a float block, ``%r`` at each leaf; all subtrees of a
+    level are the same text, so it is built from the innermost level out."""
     text = "%r"
     for level in reversed(range(len(shape))):
         inner = "\n" + "  " * (depth + level + 1)
