@@ -63,6 +63,8 @@ def _emit(payload: dict, text: str, fmt: str) -> None:
 def _validate_config(args: argparse.Namespace) -> None:
     if getattr(args, "trials", 0) < 0:
         raise NoumenalError(f"--trials must be >= 0, got {args.trials}")
+    if getattr(args, "seed", 0) < 0:
+        raise NoumenalError(f"--seed must be >= 0, got {args.seed}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ParseError(f"--tol must be finite and > 0, got {args.tol}")
 

@@ -191,17 +191,28 @@ def _chunks(value, depth: int):
 
 
 def _float_block(value: np.ndarray, depth: int) -> str:
-    """A non-empty finite float64 array of rank >= 1 rendered at ``depth``."""
-    return _template(value.shape, depth) % tuple(value.ravel().tolist())
+    """A non-empty finite float64 array of rank >= 1 rendered at ``depth``:
+    the all-zero text with ``repr`` written at each leaf whose bits are not
+    all zero, so ``-0.0`` is formatted and only ``+0.0`` is skipped."""
+    flat = value.ravel()
+    leaves = np.flatnonzero(flat.view(np.uint64))
+    pieces = list(_pieces(value.shape, depth))
+    for place, leaf in zip((2 * leaves + 1).tolist(), flat[leaves].tolist()):
+        pieces[place] = repr(leaf)
+    return "".join(pieces)
 
 
 @functools.lru_cache(maxsize=128)
-def _template(shape: tuple[int, ...], depth: int) -> str:
-    """The format of a float block, ``%r`` at each leaf; all subtrees of a
-    level are the same text, so it is built from the innermost level out."""
-    text = "%r"
+def _pieces(shape: tuple[int, ...], depth: int) -> tuple[str, ...]:
+    """The text of an all-zero float block, literal text at the even places
+    and ``"0.0"`` at each leaf's odd place.  Built from the innermost level
+    out; the literals between leaves that close the same number of levels
+    are one string object, so a rank-r block holds r + 2 distinct literals."""
+    pieces = ("", "0.0", "")
     for level in reversed(range(len(shape))):
         inner = "\n" + "  " * (depth + level + 1)
         close = "\n" + "  " * (depth + level) + "]"
-        text = "[" + inner + ("," + inner).join([text] * shape[level]) + close
-    return text
+        body = pieces[1:-1]
+        between, last = (pieces[-1] + "," + inner + pieces[0],), (pieces[-1] + close,)
+        pieces = ("[" + inner + pieces[0],) + (body + between) * (shape[level] - 1) + body + last
+    return pieces

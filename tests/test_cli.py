@@ -119,6 +119,8 @@ def test_non_finite_tolerance_is_input_error(capsys, tol):
         (("demo", "no-signalling", "--bipartition", "x"), None),
         (("simulate",), 5),
         (("simulate",), [["x"]]),
+        (("verify", "--atoms", "2x2", "--trials", "1", "--seed", "-1"), None),
+        (("demo", "no-signalling", "--atoms", "2x2", "--trials", "1", "--seed", "-1"), None),
     ],
 )
 def test_malformed_atom_ids_are_input_errors(capsys, tmp_path, argv, track):
