@@ -113,3 +113,53 @@ def test_dump_json_writes_a_large_grid_in_bounded_pieces():
     assert "".join(pieces) == oracle(payload)
     assert len(pieces) > 10
     assert max(map(len, pieces)) < 2 * WRITE_CHARS
+
+
+# Values a sparse grid holds besides +0.0; each must reach repr, -0.0 included.
+SPARSE_VALUES = st.sampled_from((-0.0, 5e-324, 1e16, 1e-5)) | finite_floats
+
+
+@st.composite
+def sparse_blocks(draw):
+    """Float64 arrays of rank 1-3 and at most BLOCK_FLOATS entries, mostly +0.0."""
+    shape, room = [], BLOCK_FLOATS
+    for _ in range(draw(st.integers(1, 3))):
+        shape.append(draw(st.integers(1, room)))
+        room //= shape[-1]
+    flat = np.zeros(math.prod(shape))
+    places = draw(st.lists(st.integers(0, flat.size - 1), max_size=12))
+    flat[places] = draw(st.lists(SPARSE_VALUES, min_size=len(places), max_size=len(places)))
+    return flat.reshape(shape)
+
+
+def _last_leaf_only(shape):
+    block = np.zeros(shape)
+    block.flat[-1] = 1e-5
+    return block
+
+
+@settings(deadline=None)
+@given(sparse_blocks(), st.integers(0, 5))
+# One shape at two depths, so a cache that ignores the depth fails.
+@example(np.zeros((3, 4)), 0)
+@example(np.full((3, 4), -0.0), 2)
+@example(_last_leaf_only((2, 3, 4)), 5)
+@example(np.random.default_rng(0).standard_normal((4, 16, 16)), 1)
+def test_sparse_blocks_render_like_json_dumps(block, depth):
+    assert _float_block(block, depth) == oracle(block).replace("\n", "\n" + "  " * depth)
+    # The same leaves in a grid of more than BLOCK_FLOATS floats, walked to blocks.
+    entries = np.zeros(2 * 2 * 16 * 16, dtype=complex)
+    entries.real[: block.size] = block.ravel()
+    entries.imag[-block.size :] = block.ravel()
+    grid = matrix_to_json(entries.reshape(2, 2, 16, 16))
+    assert grid.size > BLOCK_FLOATS
+    assert dumps_json({"entries": grid}) == oracle({"entries": grid})
+
+
+def test_piece_cache_is_bounded_and_shares_its_literals():
+    assert reports._pieces.cache_info().maxsize == 128
+    for shape in [(BLOCK_FLOATS,), (32, 32), (4, 16, 16), (2, 2, 2, 2, 2)]:
+        pieces = reports._pieces(shape, 3)
+        assert len(pieces) == 2 * math.prod(shape) + 1
+        assert set(pieces[1::2]) == {"0.0"}
+        assert len({id(piece) for piece in pieces if piece != "0.0"}) <= len(shape) + 2
