@@ -4,7 +4,8 @@ Three commands:
 
 * ``simulate`` runs a circuit file and emits both state descriptions of
   every tracked system after each gate;
-* ``verify`` runs the randomized law suite on a lattice;
+* ``verify`` runs the randomized law suite on a lattice, or replays one
+  trial of it (``--law ID --trial K``);
 * ``demo`` runs one of the named demonstrations.
 
 Output is JSON or aligned text; runs are deterministic under a fixed seed
@@ -93,7 +94,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _validate_config(args)
     lattice = SystemLattice.from_dims(_parse_dims(args.atoms))
     reports = run_law_suite(
-        lattice, args.trials, args.seed, tol=args.tol, inject_bug=args.self_test_bug
+        lattice, args.trials, args.seed, args.tol, args.self_test_bug, args.law, args.trial
     )
     passed = not any(report.passed is False for report in reports)
     payload = {
@@ -153,6 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="perturb every grid to prove the suite can fail",
     )
+    p_ver.add_argument("--law", help="run only the law with this id")
+    p_ver.add_argument("--trial", type=int, help="run only this trial index (< --trials), exactly")
     add_common(p_ver)
     p_ver.set_defaults(handler=cmd_verify)
 

@@ -5,7 +5,8 @@ grid ``[W]^A`` whose ``(i, j)`` entry is the global-space operator
 ``W† (|j><i| ⊗ I) W`` (identity padding on the complement of ``A``).  The
 grid is stored as one rank-4 array of shape ``(d, d, D, D)`` with ``d`` the
 dimension of ``A`` and ``D`` the global dimension; ``entry(i, j)`` is a view
-of the ``(i, j)`` operator.
+of the ``(i, j)`` operator.  Leading axes before these four hold a batch of
+grids, one per law-suite trial; every function here takes either.
 
 Three algebraic laws characterize such grids and are used as the consistency
 gate for products of independently built states:
@@ -36,6 +37,7 @@ from .linalg import (
     TOL_EQ,
     TOL_UNITARY,
     UnitaryOperator,
+    dagger,
     index_map,
     is_unitary,
     matrix_from_json,
@@ -47,7 +49,8 @@ CANONICAL = "canonical"
 
 
 class OperatorMatrix:
-    """A raw ``d x d`` grid of ``D x D`` operators; shape-checked only."""
+    """A raw ``d x d`` grid of ``D x D`` operators, or a batch of grids on one
+    system; shape-checked only."""
 
     __slots__ = ("system", "basis_tag", "entries")
 
@@ -55,9 +58,9 @@ class OperatorMatrix:
         entries = np.ascontiguousarray(entries, dtype=np.complex128)
         d = system.dim
         big_d = system.lattice.global_dim
-        if entries.shape != (d, d, big_d, big_d):
+        if entries.shape[-4:] != (d, d, big_d, big_d):
             raise DimensionMismatch(
-                f"grid shape {entries.shape} does not match (d, d, D, D) = "
+                f"grid shape {entries.shape} does not end in (d, d, D, D) = "
                 f"{(d, d, big_d, big_d)} for system {system}"
             )
         entries.flags.writeable = False
@@ -67,15 +70,15 @@ class OperatorMatrix:
 
     @property
     def grid_dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-4]
 
     @property
     def global_dim(self) -> int:
-        return self.entries.shape[2]
+        return self.entries.shape[-1]
 
     def entry(self, i: int, j: int) -> np.ndarray:
         """The operator at grid position ``(i, j)`` (a read-only view)."""
-        return self.entries[i, j]
+        return self.entries[..., i, j, :, :]
 
     def to_json(self) -> dict:
         return {
@@ -129,22 +132,25 @@ class EvolutionMatrix(OperatorMatrix):
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Residuals of the three evolution-matrix laws for one grid."""
+    """Residuals of the three evolution-matrix laws for one grid, or arrays of
+    them for a batch."""
 
-    pairing_residual: float
-    product_residual: float
-    trace_residual: float
+    pairing_residual: float | np.ndarray
+    product_residual: float | np.ndarray
+    trace_residual: float | np.ndarray
     tolerance: float
 
     @property
     def ok(self) -> bool:
-        return max(self.pairing_residual, self.product_residual, self.trace_residual) <= self.tolerance
+        """Whether every grid passes all three laws."""
+        worst = np.maximum(np.maximum(self.pairing_residual, self.product_residual), self.trace_residual)
+        return bool(np.all(worst <= self.tolerance))
 
-    def residuals(self) -> dict[str, float]:
+    def residuals(self) -> dict:
         return {
-            "pairing": self.pairing_residual,
-            "product": self.product_residual,
-            "trace": self.trace_residual,
+            "pairing": np.asarray(self.pairing_residual).tolist(),
+            "product": np.asarray(self.product_residual).tolist(),
+            "trace": np.asarray(self.trace_residual).tolist(),
         }
 
 
@@ -157,13 +163,13 @@ def consistency_check(m: OperatorMatrix, tol: float = TOL_EQ) -> ConsistencyRepo
     """
     e = m.entries
     d = m.grid_dim
-    pairing = max_abs(np.conj(np.swapaxes(e, 2, 3)) - np.swapaxes(e, 0, 1))
-    trace = max_abs(np.einsum("iipq->pq", e) - np.eye(m.global_dim))
-    first_row, first_col = e[:1], e[:, :1]
+    pairing = max_abs(dagger(e) - np.swapaxes(e, -4, -3), 4)
+    trace = max_abs(np.einsum("...iipq->...pq", e) - np.eye(m.global_dim), 2)
+    first_row, first_col = e[..., :1, :, :, :], e[..., :, :1, :, :]
     closure = first_col @ first_row
-    closure[np.arange(d), np.arange(d)] -= e[0, 0]
-    product = max(max_abs(first_row @ first_col - e), max_abs(closure))
-    return ConsistencyReport(float(pairing), float(product), float(trace), tol)
+    closure[..., np.arange(d), np.arange(d), :, :] -= e[..., :1, 0, :, :]
+    product = np.maximum(max_abs(first_row @ first_col - e, 4), max_abs(closure, 4))
+    return ConsistencyReport(pairing, product, trace, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +182,13 @@ def _conjugate(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     Two matmuls over the grid axes.  The second runs row by row in place,
     so besides the result only one grid row is alive at a time.
     """
-    d = x.shape[0]
-    out = (x @ entries.reshape(d, -1)).reshape(entries.shape)
+    d = x.shape[-1]
+    out = x @ entries.reshape(*entries.shape[:-4], d, -1)
+    out = out.reshape(*out.shape[:-2], *entries.shape[-4:])
     x_conj = x.conj()
-    for row in out:
-        row[...] = (x_conj @ row.reshape(d, -1)).reshape(row.shape)
+    for i in range(d):
+        row = out[..., i, :, :, :]
+        row[...] = (x_conj @ row.reshape(*row.shape[:-2], -1)).reshape(row.shape)
     return out
 
 
@@ -195,9 +203,10 @@ def from_global_unitary(w: UnitaryOperator, a_sys: System) -> EvolutionMatrix:
         raise NotGlobalOperator(f"operation acts on {w.system}, not the global system")
     rest = a_sys.complement()
     perm = index_map(a_sys, rest).reshape(-1)
-    grouped = w.matrix[perm, :].reshape(a_sys.dim, rest.dim, w.system.dim)
-    gram_left = np.ascontiguousarray(grouped.conj().transpose(0, 2, 1))
-    entries = np.matmul(gram_left[None], grouped[:, None])
+    batch = w.matrix.shape[:-2]
+    grouped = w.matrix[..., perm, :].reshape(*batch, a_sys.dim, rest.dim, w.system.dim)
+    gram_left = np.ascontiguousarray(dagger(grouped))
+    entries = gram_left[..., None, :, :, :] @ grouped[..., :, None, :, :]
     return EvolutionMatrix._trusted(a_sys, entries, CANONICAL)
 
 
@@ -239,10 +248,10 @@ def noumenal_partial_trace(n: OperatorMatrix, traced: System) -> EvolutionMatrix
     keep = n.system.difference(traced)
     perm = index_map(keep, traced)
     big_d = n.global_dim
-    out = np.zeros((keep.dim, keep.dim, big_d, big_d), dtype=np.complex128)
+    out = np.zeros((*n.entries.shape[:-4], keep.dim, keep.dim, big_d, big_d), dtype=np.complex128)
     for k in range(traced.dim):
         rows = perm[:, k]
-        out += n.entries[np.ix_(rows, rows)]
+        out += n.entries[..., rows[:, None], rows, :, :]
     return EvolutionMatrix._trusted(keep, out, CANONICAL)
 
 
@@ -264,9 +273,9 @@ def noumenal_product(
     perm = index_map(na.system, nb.system)  # also rejects overlapping systems
     union = na.system.union(nb.system)
     big_d = na.global_dim
-    prod = na.entries[:, None, :, None] @ nb.entries[None, :, None, :]
-    out = np.empty((union.dim, union.dim, big_d, big_d), dtype=np.complex128)
-    out[perm[:, :, None, None], perm[None, None, :, :]] = prod
+    prod = na.entries[..., :, None, :, None, :, :] @ nb.entries[..., None, :, None, :, :, :]
+    out = np.empty((*prod.shape[:-6], union.dim, union.dim, big_d, big_d), dtype=np.complex128)
+    out[..., perm[:, :, None, None], perm[None, None, :, :], :, :] = prod
     result = EvolutionMatrix._trusted(union, out, na.basis_tag)
     if check:
         report = consistency_check(result, tol)
@@ -278,15 +287,16 @@ def noumenal_product(
     return result
 
 
-def noumenal_distance(n1: OperatorMatrix, n2: OperatorMatrix) -> float:
-    """Largest absolute entry difference between two grids on one system."""
+def noumenal_distance(n1: OperatorMatrix, n2: OperatorMatrix) -> float | np.ndarray:
+    """Largest absolute entry difference between two grids on one system
+    (one per grid of a batch)."""
     if n1.system != n2.system:
         raise SystemMismatch(f"cannot compare states of {n1.system} and {n2.system}")
     if n1.basis_tag != n2.basis_tag:
         raise BasisMismatch(
             f"cannot compare grids in bases {n1.basis_tag!r} and {n2.basis_tag!r}"
         )
-    return max_abs(n1.entries - n2.entries)
+    return max_abs(n1.entries - n2.entries, 4)
 
 
 def noumenal_equal(n1: OperatorMatrix, n2: OperatorMatrix, tol: float = TOL_EQ) -> bool:
@@ -321,12 +331,12 @@ def change_of_basis(
     b_from = np.asarray(b_from, dtype=np.complex128)
     b_to = np.asarray(b_to, dtype=np.complex128)
     for name, basis in (("source", b_from), ("target", b_to)):
-        if basis.shape != (d, d):
+        if basis.shape[-2:] != (d, d):
             raise DimensionMismatch(f"{name} basis is {basis.shape}, expected {(d, d)}")
         if not is_unitary(basis, TOL_UNITARY):
             raise NotOrthonormal(f"{name} basis columns are not orthonormal")
     if n.basis_tag == CANONICAL and max_abs(b_from - np.eye(d)) > TOL_UNITARY:
         raise BasisMismatch("grid is canonical-basis but the source basis is not the identity")
-    overlap = b_to.conj().T @ b_from  # <k|i>
+    overlap = dagger(b_to) @ b_from  # <k|i>
     tag = to_tag if to_tag is not None else _basis_tag_for(b_to)
     return EvolutionMatrix._trusted(n.system, _conjugate(overlap, n.entries), tag)

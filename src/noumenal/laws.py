@@ -1,9 +1,12 @@
 """Randomized verification of the model's algebraic laws.
 
-Each registered law draws fresh random inputs per trial (global operations,
-local operations, reference states, subsystem splits) from a seeded
-generator, evaluates both sides of its equation, and reports the worst
-elementwise residual.  Identical seeds give identical reports.
+Each registered law draws fresh random inputs per trial (subsystem splits,
+global operations, local operations, reference states), evaluates both
+sides of its equation, and reports the worst elementwise residual.  Trial
+``k`` of law ``i`` draws from its own generator, seeded by ``(seed, i, k)``,
+so its inputs do not depend on ``trials`` and ``run_law_suite`` can replay
+it alone.  Trials that drew the same systems are evaluated together, as one
+batch of stacked inputs; a trial's residual is the same in any batch.
 
 ``inject_bug=True`` perturbs one entry of every grid built from a global
 operation by ``1e-3``; this is a self-test of the harness and must make at
@@ -12,13 +15,13 @@ least the three grid-consistency laws fail.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
 
-from .errors import NoumenalError, SizeBoundExceeded
+from .errors import NoumenalError, SizeBoundExceeded, ValidationError
 from .evolution import (
     CANONICAL,
     EvolutionMatrix,
@@ -43,6 +46,8 @@ from .linalg import (
     TOL_EQ,
     DensityOperator,
     UnitaryOperator,
+    dagger,
+    draw_each,
     embed_operator,
     haar_random_unitary,
     haar_unitary,
@@ -69,88 +74,102 @@ LAW_SUITE_MAX_DIM = 32
 #: Size of the entry perturbation applied in bug-injection mode.
 BUG_PERTURBATION = 1e-3
 
+#: Cap on the bytes of one batch's grids on the union of its systems,
+#: ``B·d²·D²·16``; a batch holds at least one trial.
+BATCH_GRID_BYTES = 128 * 1024
+
+#: Trials whose generators are alive at once; batches form within a chunk.
+TRIAL_CHUNK = 256
+
+
+def _subsystem(lattice: SystemLattice, rng: np.random.Generator, low: int = 1) -> tuple[System]:
+    """A uniformly drawn system; non-empty unless ``low`` is 0."""
+    return (System(lattice, int(rng.integers(low, 1 << lattice.n_atoms))),)
+
+
+def _subsystem_in_global(lattice: SystemLattice, rng: np.random.Generator) -> tuple[System, System]:
+    return *_subsystem(lattice, rng), lattice.global_system
+
+
+def _labelled_masks(lattice: SystemLattice, rng: np.random.Generator, labels: int, parts: int) -> list[int]:
+    """Draw one of ``labels`` labels per atom; the masks of labels ``0..parts-1``."""
+    n = lattice.n_atoms
+    code = int(rng.integers(labels**n))  # one base-``labels`` digit per atom
+    return [sum(1 << i for i in range(n) if code // labels**i % labels == part) for part in range(parts)]
+
+
+def _disjoint_pair(lattice: SystemLattice, rng: np.random.Generator) -> tuple[System, System]:
+    if lattice.n_atoms < 2:
+        return lattice.global_system, lattice.empty_system
+    for _ in range(256):
+        a_mask, b_mask = _labelled_masks(lattice, rng, 3, 2)
+        if a_mask and b_mask:
+            return System(lattice, a_mask), System(lattice, b_mask)
+    return lattice.atom(0), lattice.atom(1)
+
+
+def _three_split(lattice: SystemLattice, rng: np.random.Generator) -> tuple[System, ...]:
+    return tuple(System(lattice, mask) for mask in _labelled_masks(lattice, rng, 4, 3))
+
+
+def _projector(vec: np.ndarray) -> np.ndarray:
+    return vec[..., :, None] * vec.conj()[..., None, :]
+
 
 class _TrialContext:
-    """Per-law random input factory; one seeded generator per law."""
+    """Random inputs for a batch of trials, ``rngs`` holding one generator per
+    trial.  Every draw takes one sample from each generator, in the order a
+    lone trial would draw it, and stacks them on a leading batch axis."""
 
-    def __init__(self, lattice: SystemLattice, rng: np.random.Generator, inject_bug: bool):
+    def __init__(self, lattice: SystemLattice, rngs: list, inject_bug: bool):
         self.lattice = lattice
-        self.rng = rng
+        self.rngs = rngs
         self.inject_bug = inject_bug
 
-    # -- random structure ------------------------------------------------
-
-    def random_subsystem(self, nonempty: bool = True, proper: bool = False) -> System:
-        n = self.lattice.n_atoms
-        full = (1 << n) - 1
-        for _ in range(256):
-            mask = int(self.rng.integers(0, full + 1))
-            if nonempty and mask == 0:
-                continue
-            if proper and mask == full:
-                continue
-            return System(self.lattice, mask)
-        return self.lattice.atom(0)
-
-    def _labelled_masks(self, labels: int, parts: int) -> list[int]:
-        """Draw one of ``labels`` labels per atom; the masks of labels ``0..parts-1``."""
-        n = self.lattice.n_atoms
-        drawn = self.rng.integers(0, labels, size=n)
-        return [sum(1 << i for i in range(n) if drawn[i] == part) for part in range(parts)]
-
-    def random_disjoint_pair(self) -> tuple[System, System]:
-        if self.lattice.n_atoms < 2:
-            return self.lattice.global_system, self.lattice.empty_system
-        for _ in range(256):
-            a_mask, b_mask = self._labelled_masks(3, 2)
-            if a_mask and b_mask:
-                return System(self.lattice, a_mask), System(self.lattice, b_mask)
-        return self.lattice.atom(0), self.lattice.atom(1)
-
-    def random_three_split(self) -> tuple[System, System, System]:
-        return tuple(System(self.lattice, mask) for mask in self._labelled_masks(4, 3))
-
-    # -- random operators and states --------------------------------------
-
     def haar_global(self) -> UnitaryOperator:
-        return haar_unitary(self.lattice.global_system, self.rng)
+        return haar_unitary(self.lattice.global_system, self.rngs)
 
     def haar_on(self, system: System) -> UnitaryOperator:
-        return haar_unitary(system, self.rng)
+        return haar_unitary(system, self.rngs)
 
     def global_density(self, pure: bool = False) -> DensityOperator:
         dim = self.lattice.global_dim
-        if pure:
-            vec = random_pure_state(dim, self.rng)
-            matrix = np.outer(vec, vec.conj())
-        else:
-            matrix = random_density_matrix(dim, self.rng)
+        matrix = _projector(random_pure_state(dim, self.rngs)) if pure else random_density_matrix(dim, self.rngs)
         return DensityOperator(matrix, self.lattice.global_system)
 
-    def mixed_target(self, system: System, max_components: int = 4) -> DensityOperator:
-        k = int(self.rng.integers(1, max_components + 1))
-        weights = self.rng.random(k) + 0.05
-        weights /= weights.sum()
-        matrix = np.zeros((system.dim, system.dim), dtype=np.complex128)
-        for weight in weights:
-            vec = random_pure_state(system.dim, self.rng)
-            matrix += weight * np.outer(vec, vec.conj())
-        return DensityOperator(matrix, system)
+    def mixed_target(self, system: System) -> DensityOperator:
+        """A mixture of one to four random pure states."""
+
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            k = int(rng.integers(1, 5))
+            weights = rng.random(k) + 0.05
+            weights /= weights.sum()
+            matrix = np.zeros((system.dim, system.dim), dtype=np.complex128)
+            for weight in weights:
+                matrix += weight * _projector(random_pure_state(system.dim, rng))
+            return matrix
+
+        return DensityOperator(draw_each(self.rngs, draw), system)
 
     def evolution(self, w: UnitaryOperator, system: System) -> EvolutionMatrix:
         n = from_global_unitary(w, system)
         if self.inject_bug:
             entries = n.entries.copy()
-            entries[0, 0, 0, 1] += BUG_PERTURBATION
+            entries[..., 0, 0, 0, 1] += BUG_PERTURBATION
             n = EvolutionMatrix._trusted(system, entries, CANONICAL)
         return n
 
 
 @dataclass(frozen=True)
 class Law:
+    """``check(ctx, *systems)`` evaluates a batch of trials that each first
+    drew ``systems(lattice, rng)``; it returns their residuals (a float counts
+    for every trial) and their inputs, stacked per trial."""
+
     law_id: str
     description: str
-    check: Callable[[_TrialContext], tuple[float, dict]]
+    check: Callable[..., tuple[float | np.ndarray, dict]]
+    systems: Callable[[SystemLattice, np.random.Generator], tuple] = lambda lattice, rng: ()
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +181,7 @@ def _restriction_law(residual):
     restrictions and their unchecked product; ``residual(a, b, joint, left,
     right, product)`` computes the law's own residual from them."""
 
-    def check(ctx: _TrialContext):
-        a, b = ctx.random_disjoint_pair()
+    def check(ctx: _TrialContext, a: System, b: System):
         w = ctx.haar_global()
         joint = ctx.evolution(w, a.union(b))
         left = noumenal_partial_trace(joint, b)
@@ -185,31 +203,28 @@ def _right_recovery(a, b, joint, left, right, product):
 _law_product_trace_left = _restriction_law(_left_recovery)
 _law_product_trace_right = _restriction_law(_right_recovery)
 _law_unique_decomposition = _restriction_law(
-    lambda *grids: max(_left_recovery(*grids), _right_recovery(*grids))
+    lambda *grids: np.maximum(_left_recovery(*grids), _right_recovery(*grids))
 )
 _law_trace_product_reconstruction = _restriction_law(
     lambda a, b, joint, left, right, product: noumenal_distance(product, joint)
 )
 
 
-def _law_partial_trace_via_global(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
+def _law_partial_trace_via_global(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
     reduced = noumenal_partial_trace(ctx.evolution(w, a.union(b)), b)
     return noumenal_distance(reduced, ctx.evolution(w, a)), {"w": w.matrix, "a": a, "b": b}
 
 
-def _law_partial_trace_surjectivity(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_partial_trace_surjectivity(ctx: _TrialContext, a: System, everything: System):
     w = ctx.haar_global()
     target = ctx.evolution(w, a)
-    witness = ctx.evolution(w, ctx.lattice.global_system)
+    witness = ctx.evolution(w, everything)
     residual = noumenal_distance(noumenal_partial_trace(witness, a.complement()), target)
     return residual, {"w": w.matrix, "a": a}
 
 
-def _law_partial_trace_composition(ctx: _TrialContext):
-    a, b, c = ctx.random_three_split()
+def _law_partial_trace_composition(ctx: _TrialContext, a: System, b: System, c: System):
     w = ctx.haar_global()
     joint = ctx.evolution(w, a.union(b).union(c))
     stepwise = noumenal_partial_trace(noumenal_partial_trace(joint, c), b)
@@ -217,36 +232,21 @@ def _law_partial_trace_composition(ctx: _TrialContext):
     return noumenal_distance(stepwise, direct), {"w": w.matrix, "a": a, "b": b, "c": c}
 
 
-def _law_product_via_global(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
+def _law_product_via_global(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
     product = noumenal_product(ctx.evolution(w, a), ctx.evolution(w, b), check=True)
-    return noumenal_distance(product, ctx.evolution(w, a.union(b))), {
-        "w": w.matrix,
-        "a": a,
-        "b": b,
-    }
+    return noumenal_distance(product, ctx.evolution(w, a.union(b))), {"w": w.matrix, "a": a, "b": b}
 
 
-def _law_local_operations_factorize(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
+def _law_local_operations_factorize(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
     left = ctx.evolution(w, a)
     right = ctx.evolution(w, b)
     u, v = ctx.haar_on(a), ctx.haar_on(b)
-    joint_action = noumenal_action(
-        product_of_operations(u, v), noumenal_product(left, right, check=False)
-    )
-    factorwise = noumenal_product(
-        noumenal_action(u, left), noumenal_action(v, right), check=False
-    )
-    return noumenal_distance(joint_action, factorwise), {
-        "w": w.matrix,
-        "u": u.matrix,
-        "v": v.matrix,
-        "a": a,
-        "b": b,
-    }
+    joint_action = noumenal_action(product_of_operations(u, v), noumenal_product(left, right, check=False))
+    factorwise = noumenal_product(noumenal_action(u, left), noumenal_action(v, right), check=False)
+    payload = {"w": w.matrix, "u": u.matrix, "v": v.matrix, "a": a, "b": b}
+    return noumenal_distance(joint_action, factorwise), payload
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def _law_local_operations_factorize(ctx: _TrialContext):
 
 def no_action_residual(
     joint: OperatorMatrix, u: UnitaryOperator, v: UnitaryOperator, b: System
-) -> float:
+) -> float | np.ndarray:
     """Noumenal no-influence: acting with ``u x v`` on ``joint`` and tracing
     out ``b`` equals acting with ``u`` on the restriction."""
     both_applied = noumenal_action(product_of_operations(u, v), joint)
@@ -267,16 +267,15 @@ def no_action_residual(
 
 def no_signalling_residual(
     rho: DensityOperator, u: UnitaryOperator, v: UnitaryOperator, b: System
-) -> float:
+) -> float | np.ndarray:
     """Phenomenal no-influence: the same law for a density operator."""
     evolved = phenomenal_action(product_of_operations(u, v), rho)
     lhs = partial_trace(evolved.matrix, rho.system, b)
     reduced = DensityOperator(partial_trace(rho.matrix, rho.system, b), u.system)
-    return max_abs(lhs - phenomenal_action(u, reduced).matrix)
+    return max_abs(lhs - phenomenal_action(u, reduced).matrix, 2)
 
 
-def _law_no_action_at_a_distance(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
+def _law_no_action_at_a_distance(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
     joint = ctx.evolution(w, a.union(b))
     u, v = ctx.haar_on(a), ctx.haar_on(b)
@@ -284,10 +283,9 @@ def _law_no_action_at_a_distance(ctx: _TrialContext):
     return residual, {"w": w.matrix, "u": u.matrix, "v": v.matrix, "a": a, "b": b}
 
 
-def _law_no_signalling(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
+def _law_no_signalling(ctx: _TrialContext, a: System, b: System):
     ab = a.union(b)
-    rho = DensityOperator(random_density_matrix(ab.dim, ctx.rng), ab)
+    rho = DensityOperator(random_density_matrix(ab.dim, ctx.rngs), ab)
     u, v = ctx.haar_on(a), ctx.haar_on(b)
     return no_signalling_residual(rho, u, v, b), {"rho": rho.matrix, "u": u.matrix, "v": v.matrix}
 
@@ -296,8 +294,7 @@ def _law_no_signalling(ctx: _TrialContext):
 # Noumenal states and actions.
 # ---------------------------------------------------------------------------
 
-def _law_remote_unitary_invariance(ctx: _TrialContext):
-    a = ctx.random_subsystem(nonempty=False)
+def _law_remote_unitary_invariance(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     v = ctx.haar_on(a.complement())
     moved = UnitaryOperator(
@@ -307,21 +304,15 @@ def _law_remote_unitary_invariance(ctx: _TrialContext):
     return residual, {"w": w.matrix, "v": v.matrix, "a": a}
 
 
-def _law_action_via_global(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_action_via_global(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     u = ctx.haar_on(a)
-    lifted = UnitaryOperator(
-        embed_operator(u.matrix, a) @ w.matrix, ctx.lattice.global_system
-    )
-    residual = noumenal_distance(
-        noumenal_action(u, ctx.evolution(w, a)), ctx.evolution(lifted, a)
-    )
+    lifted = UnitaryOperator(embed_operator(u.matrix, a) @ w.matrix, ctx.lattice.global_system)
+    residual = noumenal_distance(noumenal_action(u, ctx.evolution(w, a)), ctx.evolution(lifted, a))
     return residual, {"w": w.matrix, "u": u.matrix, "a": a}
 
 
-def _law_action_composition(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_action_composition(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     state = ctx.evolution(w, a)
     u, v = ctx.haar_on(a), ctx.haar_on(a)
@@ -331,8 +322,7 @@ def _law_action_composition(ctx: _TrialContext):
     return residual, {"w": w.matrix, "u": u.matrix, "v": v.matrix, "a": a}
 
 
-def _law_action_identity(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_action_identity(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     state = ctx.evolution(w, a)
     identity = UnitaryOperator(np.eye(a.dim, dtype=np.complex128), a)
@@ -343,18 +333,16 @@ def _law_action_identity(ctx: _TrialContext):
 # The epimorphism.
 # ---------------------------------------------------------------------------
 
-def _law_epimorphism_via_partial_trace(ctx: _TrialContext):
-    a = ctx.random_subsystem(nonempty=False)
+def _law_epimorphism_via_partial_trace(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     rho = ctx.global_density()
     via_grid = phi(rho, ctx.evolution(w, a))
-    evolved = w.matrix @ rho.matrix @ w.matrix.conj().T
+    evolved = w.matrix @ rho.matrix @ dagger(w.matrix)
     direct = partial_trace(evolved, ctx.lattice.global_system, a.complement())
-    return max_abs(via_grid.matrix - direct), {"w": w.matrix, "rho": rho.matrix, "a": a}
+    return max_abs(via_grid.matrix - direct, 2), {"w": w.matrix, "rho": rho.matrix, "a": a}
 
 
-def _law_epimorphism_equivariance(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_epimorphism_equivariance(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     rho = ctx.global_density()
     u = ctx.haar_on(a)
@@ -362,122 +350,103 @@ def _law_epimorphism_equivariance(ctx: _TrialContext):
     return residual, {"w": w.matrix, "u": u.matrix, "rho": rho.matrix, "a": a}
 
 
-def _law_epimorphism_trace_commutation(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
+def _law_epimorphism_trace_commutation(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
     rho = ctx.global_density()
     residual = trace_commutation_residual(rho, ctx.evolution(w, a.union(b)), b)
     return residual, {"w": w.matrix, "rho": rho.matrix, "a": a, "b": b}
 
 
-def _law_pure_anchor_stays_pure(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_pure_anchor_stays_pure(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     rho = ctx.global_density(pure=True)
-    evolved = w.matrix @ rho.matrix @ w.matrix.conj().T
-    purity_gap = abs(np.trace(evolved @ evolved).real - 1.0)
+    evolved = w.matrix @ rho.matrix @ dagger(w.matrix)
+    purity_gap = abs(np.trace(evolved @ evolved, axis1=-2, axis2=-1).real - 1.0)
     reduced = partial_trace(evolved, ctx.lattice.global_system, a.complement())
     via_grid = phi(rho, ctx.evolution(w, a))
-    return max(purity_gap, max_abs(via_grid.matrix - reduced)), {
-        "w": w.matrix,
-        "rho": rho.matrix,
-        "a": a,
-    }
+    residual = np.maximum(purity_gap, max_abs(via_grid.matrix - reduced, 2))
+    return residual, {"w": w.matrix, "rho": rho.matrix, "a": a}
 
 
-def _law_pure_surjectivity(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_pure_surjectivity(ctx: _TrialContext, a: System):
     anchor = default_anchor(ctx.lattice)
-    target_vec = random_pure_state(ctx.lattice.global_dim, ctx.rng)
-    target_global = np.outer(target_vec, target_vec.conj())
+    target_vec = random_pure_state(ctx.lattice.global_dim, ctx.rngs)
+    target_global = _projector(target_vec)
     target_reduced = partial_trace(target_global, ctx.lattice.global_system, a.complement())
     w = surjectivity_witness(anchor, target_vec)
     reached = phi(anchor, ctx.evolution(w, a))
-    return max_abs(reached.matrix - target_reduced), {"target": target_vec, "a": a}
+    return max_abs(reached.matrix - target_reduced, 2), {"target": target_vec, "a": a}
 
 
-def _law_mixed_surjectivity(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_mixed_surjectivity(ctx: _TrialContext, a: System):
     target = ctx.mixed_target(a)
     reached = ext_epimorphism(mixed_state_witness(target))
-    return max_abs(reached.matrix - target.matrix), {"target": target.matrix, "a": a}
+    return max_abs(reached.matrix - target.matrix, 2), {"target": target.matrix, "a": a}
 
 
 # ---------------------------------------------------------------------------
 # Lifted (anchored) operations.
 # ---------------------------------------------------------------------------
 
-def _law_extended_reconstruction(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
+def _law_extended_reconstruction(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
     rho = ctx.global_density()
     state = ExtendedNoumenalState(ctx.evolution(w, a.union(b)), rho)
     rebuilt = ext_product(ext_trace(state, b), ext_trace(state, a), check=False)
-    residual = max(
-        noumenal_distance(rebuilt.n, state.n), max_abs(rebuilt.rho.matrix - state.rho.matrix)
+    residual = np.maximum(
+        noumenal_distance(rebuilt.n, state.n), max_abs(rebuilt.rho.matrix - state.rho.matrix, 2)
     )
     return residual, {"w": w.matrix, "rho": rho.matrix, "a": a, "b": b}
 
 
-def _law_extended_trace_commutation(ctx: _TrialContext):
-    a, b = ctx.random_disjoint_pair()
+def _law_extended_trace_commutation(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
     rho = ctx.global_density()
     state = ExtendedNoumenalState(ctx.evolution(w, a.union(b)), rho)
     lhs = partial_trace(ext_epimorphism(state).matrix, a.union(b), b)
     rhs = ext_epimorphism(ext_trace(state, b))
-    return max_abs(lhs - rhs.matrix), {"w": w.matrix, "rho": rho.matrix, "a": a, "b": b}
+    return max_abs(lhs - rhs.matrix, 2), {"w": w.matrix, "rho": rho.matrix, "a": a, "b": b}
 
 
 # ---------------------------------------------------------------------------
 # Change of basis.
 # ---------------------------------------------------------------------------
 
-def _law_basis_change_direct(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_basis_change_direct(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
-    basis = haar_random_unitary(a.dim, ctx.rng)
+    basis = haar_random_unitary(a.dim, ctx.rngs)
     state = ctx.evolution(w, a)
-    eye = np.eye(a.dim)
-    transformed = change_of_basis(state, eye, basis, "target")
-    direct = np.empty_like(state.entries)
-    for k in range(a.dim):
-        for l in range(a.dim):
-            flip = np.outer(basis[:, l], basis[:, k].conj())
-            embedded = embed_operator(flip, a)
-            direct[k, l] = w.matrix.conj().T @ embedded @ w.matrix
-    return max_abs(transformed.entries - direct), {"w": w.matrix, "basis": basis, "a": a}
+    transformed = change_of_basis(state, np.eye(a.dim), basis, "target")
+    columns = np.swapaxes(basis, -1, -2)
+    flips = columns[..., None, :, :, None] * columns.conj()[..., :, None, None, :]  # [k, l] = |b_l><b_k|
+    w_mat = w.matrix[..., None, None, :, :]
+    direct = dagger(w_mat) @ embed_operator(flips, a) @ w_mat
+    return max_abs(transformed.entries - direct, 4), {"w": w.matrix, "basis": basis, "a": a}
 
 
-def _law_basis_change_identity(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_basis_change_identity(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     state = ctx.evolution(w, a)
     eye = np.eye(a.dim)
-    return noumenal_distance(change_of_basis(state, eye, eye, CANONICAL), state), {
-        "w": w.matrix,
-        "a": a,
-    }
+    return noumenal_distance(change_of_basis(state, eye, eye, CANONICAL), state), {"w": w.matrix, "a": a}
 
 
-def _law_basis_change_composition(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_basis_change_composition(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     state = ctx.evolution(w, a)
     eye = np.eye(a.dim)
-    b2 = haar_random_unitary(a.dim, ctx.rng)
-    b3 = haar_random_unitary(a.dim, ctx.rng)
+    b2 = haar_random_unitary(a.dim, ctx.rngs)
+    b3 = haar_random_unitary(a.dim, ctx.rngs)
     chained = change_of_basis(change_of_basis(state, eye, b2, "mid"), b2, b3, "end")
     direct = change_of_basis(state, eye, b3, "end")
     return noumenal_distance(chained, direct), {"w": w.matrix, "b2": b2, "b3": b3, "a": a}
 
 
-def _law_basis_change_round_trip(ctx: _TrialContext):
-    a = ctx.random_subsystem()
+def _law_basis_change_round_trip(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     state = ctx.evolution(w, a)
     eye = np.eye(a.dim)
-    b2 = haar_random_unitary(a.dim, ctx.rng)
+    b2 = haar_random_unitary(a.dim, ctx.rngs)
     round_trip = change_of_basis(change_of_basis(state, eye, b2, "mid"), b2, eye, CANONICAL)
     return noumenal_distance(round_trip, state), {"w": w.matrix, "b2": b2, "a": a}
 
@@ -486,58 +455,47 @@ def _law_basis_change_round_trip(ctx: _TrialContext):
 # Grid consistency (the defining signature of evolution matrices).
 # ---------------------------------------------------------------------------
 
-def _law_grid_conjugate_pairing(ctx: _TrialContext):
-    a = ctx.random_subsystem()
-    w = ctx.haar_global()
-    report = consistency_check(ctx.evolution(w, a))
-    return report.pairing_residual, {"w": w.matrix, "a": a}
+def _consistency_law(residual: str):
+    """A law check on one ``ConsistencyReport`` field of a random grid."""
 
+    def check(ctx: _TrialContext, a: System):
+        w = ctx.haar_global()
+        return getattr(consistency_check(ctx.evolution(w, a)), residual), {"w": w.matrix, "a": a}
 
-def _law_grid_operator_products(ctx: _TrialContext):
-    a = ctx.random_subsystem()
-    w = ctx.haar_global()
-    report = consistency_check(ctx.evolution(w, a))
-    return report.product_residual, {"w": w.matrix, "a": a}
-
-
-def _law_grid_trace_completeness(ctx: _TrialContext):
-    a = ctx.random_subsystem()
-    w = ctx.haar_global()
-    report = consistency_check(ctx.evolution(w, a))
-    return report.trace_residual, {"w": w.matrix, "a": a}
+    return check
 
 
 LAWS: tuple[Law, ...] = (
-    Law("grid_conjugate_pairing", "grid entries pair up as conjugate transposes", _law_grid_conjugate_pairing),
-    Law("grid_operator_products", "grid entries multiply with the index-contraction rule", _law_grid_operator_products),
-    Law("grid_trace_completeness", "diagonal grid entries sum to the identity", _law_grid_trace_completeness),
-    Law("remote_unitary_invariance", "operations on the complement leave the local state unchanged", _law_remote_unitary_invariance),
-    Law("action_via_global", "acting locally equals rebuilding from the lifted global operation", _law_action_via_global),
-    Law("action_composition", "acting with a composite equals acting in sequence", _law_action_composition),
-    Law("action_identity", "the identity operation leaves states unchanged", _law_action_identity),
-    Law("partial_trace_via_global", "restriction of a joint state equals the directly built state", _law_partial_trace_via_global),
-    Law("partial_trace_surjectivity", "every local state is the restriction of a joint state", _law_partial_trace_surjectivity),
-    Law("partial_trace_composition", "tracing out in stages equals tracing out at once", _law_partial_trace_composition),
-    Law("product_via_global", "combining both restrictions rebuilds the joint state", _law_product_via_global),
-    Law("product_trace_left_recovery", "tracing a product recovers its left factor", _law_product_trace_left),
-    Law("product_trace_right_recovery", "tracing a product recovers its right factor", _law_product_trace_right),
-    Law("unique_decomposition", "a product state determines both factors", _law_unique_decomposition),
-    Law("trace_product_reconstruction", "restrictions recombine to the joint state", _law_trace_product_reconstruction),
-    Law("local_operations_factorize", "a joint local operation acts factor by factor", _law_local_operations_factorize),
-    Law("no_action_at_a_distance", "remote operations leave the local noumenal state unchanged", _law_no_action_at_a_distance),
-    Law("no_signalling", "remote operations leave the local phenomenal state unchanged", _law_no_signalling),
-    Law("epimorphism_via_partial_trace", "phi agrees with the directly reduced evolved state", _law_epimorphism_via_partial_trace),
-    Law("epimorphism_equivariance", "phi intertwines the noumenal and phenomenal actions", _law_epimorphism_equivariance),
-    Law("epimorphism_trace_commutation", "phi commutes with partial traces", _law_epimorphism_trace_commutation),
-    Law("pure_anchor_stays_pure", "a pure reference stays pure and reduces consistently", _law_pure_anchor_stays_pure),
-    Law("pure_surjectivity", "every reduced pure state is reached from the reference", _law_pure_surjectivity),
-    Law("mixed_surjectivity", "every mixed state is reached by an anchored identity state", _law_mixed_surjectivity),
-    Law("extended_reconstruction", "anchored restrictions recombine to the anchored joint state", _law_extended_reconstruction),
-    Law("extended_trace_commutation", "the anchored epimorphism commutes with partial traces", _law_extended_trace_commutation),
-    Law("basis_change_direct_construction", "re-expressing a grid matches building it in the new basis", _law_basis_change_direct),
-    Law("basis_change_identity", "changing a basis to itself is the identity", _law_basis_change_identity),
-    Law("basis_change_composition", "basis changes compose", _law_basis_change_composition),
-    Law("basis_change_round_trip", "a basis round trip is the identity", _law_basis_change_round_trip),
+    Law("grid_conjugate_pairing", "grid entries pair up as conjugate transposes", _consistency_law("pairing_residual"), _subsystem),
+    Law("grid_operator_products", "grid entries multiply with the index-contraction rule", _consistency_law("product_residual"), _subsystem),
+    Law("grid_trace_completeness", "diagonal grid entries sum to the identity", _consistency_law("trace_residual"), _subsystem),
+    Law("remote_unitary_invariance", "operations on the complement leave the local state unchanged", _law_remote_unitary_invariance, partial(_subsystem, low=0)),
+    Law("action_via_global", "acting locally equals rebuilding from the lifted global operation", _law_action_via_global, _subsystem),
+    Law("action_composition", "acting with a composite equals acting in sequence", _law_action_composition, _subsystem),
+    Law("action_identity", "the identity operation leaves states unchanged", _law_action_identity, _subsystem),
+    Law("partial_trace_via_global", "restriction of a joint state equals the directly built state", _law_partial_trace_via_global, _disjoint_pair),
+    Law("partial_trace_surjectivity", "every local state is the restriction of a joint state", _law_partial_trace_surjectivity, _subsystem_in_global),
+    Law("partial_trace_composition", "tracing out in stages equals tracing out at once", _law_partial_trace_composition, _three_split),
+    Law("product_via_global", "combining both restrictions rebuilds the joint state", _law_product_via_global, _disjoint_pair),
+    Law("product_trace_left_recovery", "tracing a product recovers its left factor", _law_product_trace_left, _disjoint_pair),
+    Law("product_trace_right_recovery", "tracing a product recovers its right factor", _law_product_trace_right, _disjoint_pair),
+    Law("unique_decomposition", "a product state determines both factors", _law_unique_decomposition, _disjoint_pair),
+    Law("trace_product_reconstruction", "restrictions recombine to the joint state", _law_trace_product_reconstruction, _disjoint_pair),
+    Law("local_operations_factorize", "a joint local operation acts factor by factor", _law_local_operations_factorize, _disjoint_pair),
+    Law("no_action_at_a_distance", "remote operations leave the local noumenal state unchanged", _law_no_action_at_a_distance, _disjoint_pair),
+    Law("no_signalling", "remote operations leave the local phenomenal state unchanged", _law_no_signalling, _disjoint_pair),
+    Law("epimorphism_via_partial_trace", "phi agrees with the directly reduced evolved state", _law_epimorphism_via_partial_trace, partial(_subsystem, low=0)),
+    Law("epimorphism_equivariance", "phi intertwines the noumenal and phenomenal actions", _law_epimorphism_equivariance, _subsystem),
+    Law("epimorphism_trace_commutation", "phi commutes with partial traces", _law_epimorphism_trace_commutation, _disjoint_pair),
+    Law("pure_anchor_stays_pure", "a pure reference stays pure and reduces consistently", _law_pure_anchor_stays_pure, _subsystem),
+    Law("pure_surjectivity", "every reduced pure state is reached from the reference", _law_pure_surjectivity, _subsystem),
+    Law("mixed_surjectivity", "every mixed state is reached by an anchored identity state", _law_mixed_surjectivity, _subsystem),
+    Law("extended_reconstruction", "anchored restrictions recombine to the anchored joint state", _law_extended_reconstruction, _disjoint_pair),
+    Law("extended_trace_commutation", "the anchored epimorphism commutes with partial traces", _law_extended_trace_commutation, _disjoint_pair),
+    Law("basis_change_direct_construction", "re-expressing a grid matches building it in the new basis", _law_basis_change_direct, _subsystem),
+    Law("basis_change_identity", "changing a basis to itself is the identity", _law_basis_change_identity, _subsystem),
+    Law("basis_change_composition", "basis changes compose", _law_basis_change_composition, _subsystem),
+    Law("basis_change_round_trip", "a basis round trip is the identity", _law_basis_change_round_trip, _subsystem),
 )
 
 
@@ -549,49 +507,91 @@ def _jsonify_value(value):
     return value
 
 
+def _start(lattice: SystemLattice, law: Law, law_index: int, seed: int, trial: int) -> tuple:
+    """``(trial, rng, systems)``: the trial's own generator, child ``(law_index,
+    trial)`` of ``SeedSequence(seed)``, and the systems it draws first."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(law_index, trial)))
+    return trial, rng, law.systems(lattice, rng)
+
+
+def _rank(found: tuple) -> tuple:  # worst residual first, then lowest trial
+    return found[0], -found[1]
+
+
+def _worst_of_batch(lattice, law, law_index, seed, batch, inject_bug) -> tuple:
+    """The worst ``(residual, trial, payload)`` of a batch of ``_start``
+    results with the same systems; NaN ranks as ``inf``.  If the batch
+    raises, each trial runs again alone from a fresh generator, so an error
+    costs only the trials that raise it."""
+    try:
+        ctx = _TrialContext(lattice, [rng for _, rng, _ in batch], inject_bug)
+        residuals, payload = law.check(ctx, *batch[0][2])
+    except NoumenalError as exc:
+        if len(batch) == 1:
+            return float("inf"), batch[0][0], {"error": f"{type(exc).__name__}: {exc}"}
+        alone = [[_start(lattice, law, law_index, seed, k)] for k, _, _ in batch]
+        return max((_worst_of_batch(lattice, law, law_index, seed, b, inject_bug) for b in alone), key=_rank)
+    residuals = np.broadcast_to(np.asarray(residuals, dtype=float), (len(batch),))
+    residuals = np.where(np.isnan(residuals), np.inf, residuals)
+    i = int(np.argmax(residuals))
+    return float(residuals[i]), batch[i][0], {k: v[i] if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+
+
 def run_law_suite(
     lattice: SystemLattice,
     trials: int,
     seed: int,
     tol: float = TOL_EQ,
     inject_bug: bool = False,
+    law_id: str | None = None,
+    trial: int | None = None,
 ) -> list[LawReport]:
     """Run every registered law ``trials`` times and collect reports.
 
-    Deterministic for a given ``seed``: each law gets its own generator
-    spawned from one root sequence.  ``trials=0`` marks every law skipped.
+    Deterministic for a given ``seed``; ``trials=0`` marks every law
+    skipped.  ``law_id`` keeps one law and ``trial`` one trial index, which
+    replays exactly that trial.  Trials run in chunks of :data:`TRIAL_CHUNK`,
+    and those of a chunk that drew the same systems run in batches whose
+    grid stays within :data:`BATCH_GRID_BYTES`.
     """
     if lattice.global_dim > LAW_SUITE_MAX_DIM:
         raise SizeBoundExceeded(
             f"law suite is limited to global dimension {LAW_SUITE_MAX_DIM}, "
             f"got {lattice.global_dim}"
         )
-    children = np.random.SeedSequence(seed).spawn(len(LAWS))
+    if law_id is not None and law_id not in [law.law_id for law in LAWS]:
+        raise ValidationError(f"no law named {law_id!r}")
+    if trial is not None and not 0 <= trial < trials:
+        raise ValidationError(f"trial {trial} is outside 0..{trials - 1} for {trials} trials")
+    indices = range(trials) if trial is None else (trial,)
+    command = (
+        f"noumenal verify --atoms {'x'.join(map(str, lattice.dims))} --trials {trials} --seed {seed}"
+        f"{'' if tol == TOL_EQ else f' --tol {tol!r}'}{' --self-test-bug' if inject_bug else ''}"
+    )
     reports = []
-    for law, child in zip(LAWS, children):
-        if trials <= 0:
+    for law_index, law in enumerate(LAWS):
+        if law_id not in (None, law.law_id):
+            continue
+        if not indices:
             reports.append(LawReport(law.law_id, law.description, 0, None, None, seed))
             continue
-        ctx = _TrialContext(lattice, np.random.default_rng(child), inject_bug)
-        worst = -1.0
-        worst_payload: dict = {}
-        worst_trial = 0
-        for trial in range(trials):
-            try:
-                residual, payload = law.check(ctx)
-                residual = float(residual)
-                if math.isnan(residual):
-                    residual = math.inf  # a NaN never compares worse, so rank it worst
-            except NoumenalError as exc:
-                residual, payload = float("inf"), {"error": f"{type(exc).__name__}: {exc}"}
-            if residual > worst:
-                worst, worst_payload, worst_trial = residual, payload, trial
-        passed = bool(worst <= tol)
+        worst = (-1.0, 0, {})
+        for start in range(0, len(indices), TRIAL_CHUNK):
+            groups: dict[tuple, list] = {}
+            for k in indices[start : start + TRIAL_CHUNK]:
+                started = _start(lattice, law, law_index, seed, k)
+                groups.setdefault(started[2], []).append(started)
+            for systems, members in groups.items():
+                union = reduce(System.union, systems, lattice.empty_system)
+                size = max(1, BATCH_GRID_BYTES // (16 * (union.dim * lattice.global_dim) ** 2))
+                for b in range(0, len(members), size):
+                    found = _worst_of_batch(lattice, law, law_index, seed, members[b : b + size], inject_bug)
+                    worst = max(worst, found, key=_rank)
+        residual, worst_trial, payload = worst
         counterexample = None
-        if not passed:
-            counterexample = {"trial": worst_trial}
-            counterexample.update({k: _jsonify_value(v) for k, v in worst_payload.items()})
-        reports.append(
-            LawReport(law.law_id, law.description, trials, worst, passed, seed, counterexample)
-        )
+        if residual > tol:
+            counterexample = {"trial": worst_trial, "replay": f"{command} --law {law.law_id} --trial {worst_trial}"}
+            counterexample.update({k: _jsonify_value(v) for k, v in payload.items()})
+        passed = residual <= tol
+        reports.append(LawReport(law.law_id, law.description, len(indices), residual, passed, seed, counterexample))
     return reports

@@ -6,6 +6,10 @@ basis indices into composite ones, embedding operators with identity padding
 on the remaining atoms (at their global positions, not contiguously), and
 partial traces over arbitrary atom subsets.
 
+Every kernel also takes a stack of operators: leading axes before an
+operator's own axes are batch axes, one index per law-suite trial, and a
+single operator is the case with none.
+
 Matrices serialize as row-major arrays of ``[re, im]`` pairs: a float64
 array in a record, nested JSON arrays in text.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,29 +41,40 @@ TOL_EQ = 1e-9
 TOL_PSD = 1e-9
 
 
-def max_abs(a: np.ndarray) -> float:
-    """Largest absolute value of the entries (0.0 for empty arrays); ``inf``
-    if any entry is not finite, so that every ``<= tol`` test fails closed."""
-    a = np.asarray(a)
-    worst = float(np.max(np.abs(a))) if a.size else 0.0
-    return worst if math.isfinite(worst) else math.inf
+def max_abs(a: np.ndarray, ndim: int | None = None) -> float | np.ndarray:
+    """Largest absolute value over the last ``ndim`` axes (all by default): a
+    float, or one value per index of the leading batch axes.  0.0 for empty
+    arrays; ``inf`` where any entry is not finite, so that every ``<= tol``
+    test fails closed."""
+    a = np.abs(np.asarray(a))
+    core = a.ndim if ndim is None else ndim
+    worst = np.max(a, axis=tuple(range(a.ndim - core, a.ndim)), initial=0.0)
+    if worst.ndim:
+        return np.where(worst == worst, worst, np.inf)  # NaN is the only value unequal to itself
+    return float(worst) if worst == worst else math.inf
+
+
+def dagger(matrix: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(matrix.conj(), -1, -2)
 
 
 def as_complex_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """A complex matrix, or stack of matrices, of ``rows x cols`` when given."""
     arr = np.array(data, dtype=np.complex128, order="C")
-    if arr.ndim != 2:
+    if arr.ndim < 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={arr.ndim}")
-    if rows is not None and arr.shape != (rows, cols if cols is not None else rows):
+    if rows is not None and arr.shape[-2:] != (rows, cols if cols is not None else rows):
         raise DimensionMismatch(f"expected shape {(rows, cols or rows)}, got {arr.shape}")
     return arr
 
 
 def is_unitary(matrix: np.ndarray, tol: float = TOL_UNITARY) -> bool:
+    """Whether ``matrix``, or every matrix of a stack, is unitary within ``tol``."""
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not np.isfinite(matrix).all():
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2] or not np.isfinite(matrix).all():
         return False
-    gram = matrix.conj().T @ matrix
-    return max_abs(gram - np.eye(matrix.shape[0])) <= tol
+    return max_abs(dagger(matrix) @ matrix - np.eye(matrix.shape[-1])) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +122,7 @@ class UnitaryOperator:
     def __post_init__(self) -> None:
         matrix = as_complex_matrix(self.matrix)
         d = self.system.dim
-        if matrix.shape != (d, d):
+        if matrix.shape[-2:] != (d, d):
             raise DimensionMismatch(
                 f"operator is {matrix.shape}, but system {self.system} has dimension {d}"
             )
@@ -141,27 +157,29 @@ class DensityOperator:
     def __post_init__(self) -> None:
         matrix = as_complex_matrix(self.matrix)
         d = self.system.dim
-        if matrix.shape != (d, d):
+        if matrix.shape[-2:] != (d, d):
             raise DimensionMismatch(
                 f"state is {matrix.shape}, but system {self.system} has dimension {d}"
             )
         if not np.isfinite(matrix).all():
             raise ValidationError("density matrix has non-finite (NaN or inf) entries")
-        if max_abs(matrix - matrix.conj().T) > TOL_EQ:
+        if max_abs(matrix - dagger(matrix)) > TOL_EQ:
             raise ValidationError("density matrix is not Hermitian within TOL_EQ")
-        if abs(np.trace(matrix) - 1.0) > TOL_EQ:
-            raise ValidationError(f"density matrix has trace {np.trace(matrix):.3g}, expected 1")
+        trace_gap = max_abs(np.trace(matrix, axis1=-2, axis2=-1) - 1.0)
+        if trace_gap > TOL_EQ:
+            raise ValidationError(f"density matrix trace differs from 1 by {trace_gap:.3g}")
         object.__setattr__(self, "matrix", _frozen(matrix))
 
     @property
     def dim(self) -> int:
         return self.system.dim
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+    def purity(self) -> float | np.ndarray:
+        return np.trace(self.matrix @ self.matrix, axis1=-2, axis2=-1).real
 
     def is_pure(self, tol: float = TOL_EQ) -> bool:
-        return abs(self.purity() - 1.0) <= tol
+        """Whether the state, or every state of a stack, is pure within ``tol``."""
+        return bool(np.all(abs(self.purity() - 1.0) <= tol))
 
     def validate_psd(self, tol: float = TOL_PSD) -> None:
         eigenvalues = np.linalg.eigvalsh(self.matrix)
@@ -267,9 +285,10 @@ def tensor_operators(
     op_a = as_complex_matrix(op_a, a_sys.dim)
     op_b = as_complex_matrix(op_b, b_sys.dim)
     perm = index_map(a_sys, b_sys).reshape(-1)
-    grouped = np.kron(op_a, op_b)
-    out = np.empty((a_sys.dim * b_sys.dim,) * 2, dtype=np.complex128)
-    out[np.ix_(perm, perm)] = grouped
+    grouped = op_a[..., :, None, :, None] * op_b[..., None, :, None, :]  # np.kron, batched
+    batch = grouped.shape[:-4]
+    out = np.empty((*batch, perm.size, perm.size), dtype=np.complex128)
+    out[..., perm[:, None], perm] = grouped.reshape(*batch, perm.size, perm.size)
     return out
 
 
@@ -286,8 +305,10 @@ def partial_trace(matrix: np.ndarray, system: System, traced: System) -> np.ndar
     matrix = as_complex_matrix(matrix, system.dim)
     keep = system.difference(traced)
     perm = index_map(keep, traced).reshape(-1)
-    grouped = matrix[np.ix_(perm, perm)].reshape(keep.dim, traced.dim, keep.dim, traced.dim)
-    return np.trace(grouped, axis1=1, axis2=3)
+    grouped = matrix[..., perm[:, None], perm].reshape(
+        *matrix.shape[:-2], keep.dim, traced.dim, keep.dim, traced.dim
+    )
+    return np.trace(grouped, axis1=-3, axis2=-1)
 
 
 def phenomenal_partial_trace(rho: DensityOperator, traced: System) -> DensityOperator:
@@ -298,39 +319,51 @@ def phenomenal_partial_trace(rho: DensityOperator, traced: System) -> DensityOpe
 
 # ---------------------------------------------------------------------------
 # Random inputs for law checks.  All randomness flows through an explicit
-# numpy Generator so that runs are reproducible.
+# numpy Generator so that runs are reproducible.  Each sampler also takes a
+# sequence of generators, one per batched trial, and returns the stack of
+# one sample from each, so a trial draws the same numbers alone or batched.
 # ---------------------------------------------------------------------------
 
-def haar_random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+Rng = "np.random.Generator | Sequence[np.random.Generator]"  # a string, so importing does not load numpy.random
+
+
+def draw_each(rng: Rng, draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
+    """``draw(rng)``; for a sequence of generators, the stack of ``draw(g)``."""
+    if isinstance(rng, np.random.Generator):
+        return draw(rng)
+    return np.stack([draw(g) for g in rng])
+
+
+def _ginibre(rng: Rng, rows: int, cols: int) -> np.ndarray:
+    return draw_each(rng, lambda g: g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols)))
+
+
+def haar_random_unitary(dim: int, rng: Rng) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    R diagonal phase-normalized."""
+    R diagonal phase-normalized (Mezzadri 2007); one stacked QR per batch."""
     if dim < 1:
         raise ValidationError(f"dimension must be >= 1, got {dim}")
-    ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(ginibre)
-    phases = np.diagonal(r).copy()
+    q, r = np.linalg.qr(_ginibre(rng, dim, dim))
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., None, :]
 
 
-def haar_unitary(system: System, rng: np.random.Generator) -> UnitaryOperator:
+def haar_unitary(system: System, rng: Rng) -> UnitaryOperator:
     return UnitaryOperator(haar_random_unitary(system.dim, rng), system)
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+def random_pure_state(dim: int, rng: Rng) -> np.ndarray:
     """A Haar-random unit vector."""
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return vec / np.linalg.norm(vec)
+    vec = draw_each(rng, lambda g: g.standard_normal(dim) + 1j * g.standard_normal(dim))
+    return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
 
 
-def random_density_matrix(
-    dim: int, rng: np.random.Generator, rank: int | None = None
-) -> np.ndarray:
+def random_density_matrix(dim: int, rng: Rng, rank: int | None = None) -> np.ndarray:
     """A random mixed state: normalized ``G G†`` for a Ginibre ``G``."""
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    g = _ginibre(rng, dim, dim if rank is None else rank)
+    rho = g @ dagger(g)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 # ---------------------------------------------------------------------------

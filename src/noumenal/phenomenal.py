@@ -22,6 +22,7 @@ from .lattice import System, SystemLattice
 from .linalg import (
     DensityOperator,
     UnitaryOperator,
+    dagger,
     max_abs,
     partial_trace,
 )
@@ -31,13 +32,13 @@ def phenomenal_action(u: UnitaryOperator, rho: DensityOperator) -> DensityOperat
     """Evolve a density operator: ``U rho U†``."""
     if u.system != rho.system:
         raise SystemMismatch(f"operation on {u.system} cannot act on a state of {rho.system}")
-    return DensityOperator(u.matrix @ rho.matrix @ u.matrix.conj().T, rho.system)
+    return DensityOperator(u.matrix @ rho.matrix @ dagger(u.matrix), rho.system)
 
 
 def phi_matrix(entries: np.ndarray, rho_matrix: np.ndarray) -> np.ndarray:
     """Raw epimorphism: the matrix with ``(i, j)`` entry ``tr(entries[i,j] rho)``."""
-    d = entries.shape[0]
-    return entries.reshape(d, d, -1) @ rho_matrix.T.reshape(-1)
+    rho_t = np.swapaxes(rho_matrix, -1, -2).reshape(*rho_matrix.shape[:-2], 1, -1, 1)
+    return (entries.reshape(*entries.shape[:-2], -1) @ rho_t)[..., 0]
 
 
 def phi(rho_ref: DensityOperator, n: OperatorMatrix) -> DensityOperator:
@@ -61,7 +62,7 @@ def homomorphism_residual(
     """Max-abs of ``U . phi(N) - phi(U * N)``; zero for a true homomorphism."""
     via_phenomenal = phenomenal_action(u, phi(rho_ref, n))
     via_noumenal = phi(rho_ref, noumenal_action(u, n))
-    return max_abs(via_phenomenal.matrix - via_noumenal.matrix)
+    return max_abs(via_phenomenal.matrix - via_noumenal.matrix, 2)
 
 
 def trace_commutation_residual(
@@ -70,7 +71,7 @@ def trace_commutation_residual(
     """Max-abs of ``tr_B(phi(N)) - phi(tr_B(N))`` for ``B = traced``."""
     reduced_phenomenal = partial_trace(phi(rho_ref, n).matrix, n.system, traced)
     reduced_noumenal = phi(rho_ref, noumenal_partial_trace(n, traced))
-    return max_abs(reduced_phenomenal - reduced_noumenal.matrix)
+    return max_abs(reduced_phenomenal - reduced_noumenal.matrix, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -110,35 +111,28 @@ def default_anchor(lattice: SystemLattice) -> DensityOperator:
     return pure_density(system, basis_state_vector(system, (0,) * lattice.n_atoms))
 
 
-def complete_orthonormal(vector: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    """A unitary whose first column is ``vector``.
+def complete_orthonormal(vector: np.ndarray) -> np.ndarray:
+    """A unitary whose first column is the normalized ``vector`` (one per
+    vector of a stack).
 
-    The remaining columns come from Gram-Schmidt over the standard basis
-    vectors in index order, so the completion is deterministic.
+    In closed form: ``-a H``, with ``H`` the Householder reflection that
+    swaps ``-a e_0`` and ``v``, and ``a`` the phase of ``v[0]`` (1 where it
+    is 0).  Its reflection vector ``v + a e_0`` has squared norm
+    ``2 (1 + |v[0]|) >= 2``, so the completion is deterministic and stable.
     """
-    vector = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    d = vector.size
-    cols = [vector / np.linalg.norm(vector)]
-    for j in range(d):
-        if len(cols) == d:
-            break
-        candidate = np.zeros(d, dtype=np.complex128)
-        candidate[j] = 1.0
-        for _ in range(2):  # re-orthogonalize once for numerical hygiene
-            for col in cols:
-                candidate = candidate - col * (col.conj() @ candidate)
-        norm = np.linalg.norm(candidate)
-        if norm > tol:
-            cols.append(candidate / norm)
-    assert len(cols) == d
-    return np.stack(cols, axis=1)
+    v = np.asarray(vector, dtype=np.complex128)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    phase = np.exp(1j * np.angle(v[..., :1]))
+    u = v.copy()
+    u[..., :1] += phase
+    scale = 1.0 + np.abs(v[..., :1, None])  # half the squared norm of u
+    reflection = np.eye(v.shape[-1]) - u[..., :, None] * u.conj()[..., None, :] / scale
+    return -phase[..., None] * reflection
 
 
 def unitary_mapping(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """A deterministic unitary sending the unit vector ``source`` to ``target``."""
-    q_source = complete_orthonormal(source)
-    q_target = complete_orthonormal(target)
-    return q_target @ q_source.conj().T
+    return complete_orthonormal(target) @ dagger(complete_orthonormal(source))
 
 
 def surjectivity_witness(

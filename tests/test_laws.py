@@ -1,5 +1,12 @@
+import contextlib
+import dataclasses
+import io
+import json
 import math
+import shlex
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from noumenal import (
@@ -7,9 +14,11 @@ from noumenal import (
     LawReport,
     SizeBoundExceeded,
     SystemLattice,
+    ValidationError,
     laws,
     run_law_suite,
 )
+from noumenal.cli import main
 
 REQUIRED_LAWS = {
     "grid_conjugate_pairing",
@@ -112,3 +121,109 @@ def test_law_report_round_trip(lat22):
     reports = run_law_suite(lat22, trials=2, seed=5)
     for report in reports:
         assert LawReport.from_json(report.to_json()) == report
+
+
+def trial_of(rng: np.random.Generator) -> int:
+    """The trial a generator belongs to: the last entry of its spawn key."""
+    return rng.bit_generator.seed_seq.spawn_key[-1]
+
+
+def batched_residuals(monkeypatch, lattice, trials, seed, **options) -> dict:
+    """Every ``(law_id, trial)`` residual as the batched suite computed it."""
+    seen = {}
+
+    def recording(law):
+        def check(ctx, *systems):
+            residuals, payload = law.check(ctx, *systems)
+            for rng, residual in zip(ctx.rngs, np.broadcast_to(residuals, len(ctx.rngs))):
+                seen[law.law_id, trial_of(rng)] = float(residual)
+            return residuals, payload
+
+        return dataclasses.replace(law, check=check)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(laws, "LAWS", tuple(recording(law) for law in LAWS))
+        run_law_suite(lattice, trials, seed, **options)
+    return seen
+
+
+def test_batched_residuals_equal_replays(monkeypatch, lat222):
+    seen = batched_residuals(monkeypatch, lat222, trials=8, seed=3)
+    assert len(seen) == 8 * len(LAWS)
+    for (law_id, trial), residual in seen.items():
+        [replay] = run_law_suite(lat222, 8, 3, law_id=law_id, trial=trial)
+        assert replay.trials == 1 and replay.passed
+        assert replay.max_residual == residual, (law_id, trial)
+
+
+def inputs(report: LawReport) -> str:
+    """The counterexample of a report without its replay command, as JSON text."""
+    found = {k: v for k, v in report.counterexample.items() if k != "replay"}
+    return json.dumps(found, default=np.ndarray.tolist)
+
+
+def test_self_test_bug_replays_reproduce_the_reported_residuals(lat22):
+    reports = run_law_suite(lat22, trials=5, seed=11, inject_bug=True)
+    failed = [report for report in reports if report.passed is False]
+    assert len(failed) >= 3
+    for report in failed:
+        trial = report.counterexample["trial"]
+        for trials in (5, trial + 1):  # a trial's inputs do not depend on --trials
+            [replay] = run_law_suite(lat22, trials, 11, inject_bug=True, law_id=report.law_id, trial=trial)
+            assert replay.max_residual == report.max_residual, report.law_id
+            assert inputs(replay) == inputs(report)
+        argv = shlex.split(report.counterexample["replay"])
+        assert argv[:2] == ["noumenal", "verify"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv[1:], "--format", "json"]) == 1
+        [law] = json.loads(out.getvalue())["laws"]
+        assert (law["law_id"], law["trials"]) == (report.law_id, 1)
+        assert law["max_residual"] == report.max_residual
+
+
+def test_replay_selection_is_validated(lat22):
+    with pytest.raises(ValidationError):
+        run_law_suite(lat22, 3, 0, law_id="no_such_law")
+    for trial in (-1, 3):
+        with pytest.raises(ValidationError):
+            run_law_suite(lat22, 3, 0, trial=trial)
+
+
+def test_an_error_costs_only_the_trial_that_raises(lat22, monkeypatch):
+    calls, residuals = [], {}
+
+    def check(ctx):
+        trials = [trial_of(rng) for rng in ctx.rngs]
+        calls.append(trials)
+        draws = np.array([rng.random() for rng in ctx.rngs])
+        if 3 in trials:
+            raise ValidationError("trial 3 is malformed")
+        residuals.update(zip(trials, draws.tolist()))
+        return draws * 1e-12, {"draw": draws}
+
+    monkeypatch.setattr(laws, "LAWS", (laws.Law("raises_once", "trial 3 raises", check),))
+    [report] = run_law_suite(lat22, trials=6, seed=0)
+    assert calls == [[0, 1, 2, 3, 4, 5], [0], [1], [2], [3], [4], [5]]
+    assert report.max_residual == math.inf and report.status == "fail"
+    assert report.counterexample["trial"] == 3
+    assert report.counterexample["error"] == "ValidationError: trial 3 is malformed"
+    fresh = {k: np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0, k))).random() for k in range(6)}
+    assert residuals == {k: v for k, v in fresh.items() if k != 3}
+
+
+def _traced_peak(lattice, trials: int) -> int:
+    tracemalloc.start()
+    try:
+        run_law_suite(lattice, trials, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_does_not_grow_with_trials(lat222, monkeypatch):
+    # a law on one system, one that also builds the global grid, and one on a three-way split
+    kept = {"grid_operator_products", "partial_trace_surjectivity", "partial_trace_composition"}
+    monkeypatch.setattr(laws, "LAWS", tuple(law for law in LAWS if law.law_id in kept))
+    run_law_suite(lat222, 2, seed=0)  # first-call allocations
+    assert _traced_peak(lat222, 2000) <= 1.5 * _traced_peak(lat222, 200)
