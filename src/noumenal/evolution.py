@@ -166,10 +166,10 @@ def consistency_check(m: OperatorMatrix, tol: float = TOL_EQ) -> ConsistencyRepo
     pairing = max_abs(dagger(e) - np.swapaxes(e, -4, -3), 4)
     trace = max_abs(np.einsum("...iipq->...pq", e) - np.eye(m.global_dim), 2)
     first_row, first_col = e[..., :1, :, :, :], e[..., :, :1, :, :]
+    product = max_abs(first_row @ first_col - e, 4)  # before ``closure`` exists
     closure = first_col @ first_row
     closure[..., np.arange(d), np.arange(d), :, :] -= e[..., :1, 0, :, :]
-    product = np.maximum(max_abs(first_row @ first_col - e, 4), max_abs(closure, 4))
-    return ConsistencyReport(pairing, product, trace, tol)
+    return ConsistencyReport(pairing, np.maximum(product, max_abs(closure, 4)), trace, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def from_global_unitary(w: UnitaryOperator, a_sys: System) -> EvolutionMatrix:
     rest = a_sys.complement()
     perm = index_map(a_sys, rest).reshape(-1)
     batch = w.matrix.shape[:-2]
-    grouped = w.matrix[..., perm, :].reshape(*batch, a_sys.dim, rest.dim, w.system.dim)
+    grouped = np.take(w.matrix, perm, axis=-2).reshape(*batch, a_sys.dim, rest.dim, w.system.dim)
     gram_left = np.ascontiguousarray(dagger(grouped))
     entries = gram_left[..., None, :, :, :] @ grouped[..., :, None, :, :]
     return EvolutionMatrix._trusted(a_sys, entries, CANONICAL)
@@ -276,6 +276,7 @@ def noumenal_product(
     prod = na.entries[..., :, None, :, None, :, :] @ nb.entries[..., None, :, None, :, :, :]
     out = np.empty((*prod.shape[:-6], union.dim, union.dim, big_d, big_d), dtype=np.complex128)
     out[..., perm[:, :, None, None], perm[None, None, :, :], :, :] = prod
+    del prod  # not alive during the consistency check below
     result = EvolutionMatrix._trusted(union, out, na.basis_tag)
     if check:
         report = consistency_check(result, tol)

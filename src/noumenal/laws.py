@@ -76,7 +76,7 @@ BUG_PERTURBATION = 1e-3
 
 #: Cap on the bytes of one batch's grids on the union of its systems,
 #: ``B·d²·D²·16``; a batch holds at least one trial.
-BATCH_GRID_BYTES = 128 * 1024
+BATCH_GRID_BYTES = 256 * 1024
 
 #: Trials whose generators are alive at once; batches form within a chunk.
 TRIAL_CHUNK = 256
@@ -415,12 +415,11 @@ def _law_extended_trace_commutation(ctx: _TrialContext, a: System, b: System):
 def _law_basis_change_direct(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     basis = haar_random_unitary(a.dim, ctx.rngs)
-    state = ctx.evolution(w, a)
-    transformed = change_of_basis(state, np.eye(a.dim), basis, "target")
     columns = np.swapaxes(basis, -1, -2)
     flips = columns[..., None, :, :, None] * columns.conj()[..., :, None, None, :]  # [k, l] = |b_l><b_k|
     w_mat = w.matrix[..., None, None, :, :]
-    direct = dagger(w_mat) @ embed_operator(flips, a) @ w_mat
+    direct = dagger(w_mat) @ embed_operator(flips, a) @ w_mat  # first, so fewer grids are alive at once
+    transformed = change_of_basis(ctx.evolution(w, a), np.eye(a.dim), basis, "target")
     return max_abs(transformed.entries - direct, 4), {"w": w.matrix, "basis": basis, "a": a}
 
 
@@ -562,7 +561,7 @@ def run_law_suite(
     if law_id is not None and law_id not in [law.law_id for law in LAWS]:
         raise ValidationError(f"no law named {law_id!r}")
     if trial is not None and not 0 <= trial < trials:
-        raise ValidationError(f"trial {trial} is outside 0..{trials - 1} for {trials} trials")
+        raise ValidationError(f"trial {trial} is not in range({trials}), the trials run")
     indices = range(trials) if trial is None else (trial,)
     command = (
         f"noumenal verify --atoms {'x'.join(map(str, lattice.dims))} --trials {trials} --seed {seed}"

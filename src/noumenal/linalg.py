@@ -6,9 +6,8 @@ basis indices into composite ones, embedding operators with identity padding
 on the remaining atoms (at their global positions, not contiguously), and
 partial traces over arbitrary atom subsets.
 
-Every kernel also takes a stack of operators: leading axes before an
-operator's own axes are batch axes, one index per law-suite trial, and a
-single operator is the case with none.
+Every kernel also takes a stack of operators: leading batch axes, one
+index per law-suite trial, before an operator's own axes.
 
 Matrices serialize as row-major arrays of ``[re, im]`` pairs: a float64
 array in a record, nested JSON arrays in text.
@@ -319,9 +318,8 @@ def phenomenal_partial_trace(rho: DensityOperator, traced: System) -> DensityOpe
 
 # ---------------------------------------------------------------------------
 # Random inputs for law checks.  All randomness flows through an explicit
-# numpy Generator so that runs are reproducible.  Each sampler also takes a
-# sequence of generators, one per batched trial, and returns the stack of
-# one sample from each, so a trial draws the same numbers alone or batched.
+# numpy Generator so that runs are reproducible.  Given one generator per
+# batched trial, a sampler stacks one sample from each, as a lone trial draws.
 # ---------------------------------------------------------------------------
 
 Rng = "np.random.Generator | Sequence[np.random.Generator]"  # a string, so importing does not load numpy.random
