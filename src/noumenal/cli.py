@@ -4,8 +4,7 @@ Three commands:
 
 * ``simulate`` runs a circuit file and emits both state descriptions of
   every tracked system after each gate;
-* ``verify`` runs the randomized law suite on a lattice, or replays one
-  trial of it (``--law ID --trial K``);
+* ``verify`` runs the randomized law suite on a lattice, or one trial of it;
 * ``demo`` runs one of the named demonstrations.
 
 Output is JSON or aligned text; runs are deterministic under a fixed seed

@@ -163,10 +163,13 @@ def consistency_check(m: OperatorMatrix, tol: float = TOL_EQ) -> ConsistencyRepo
     """
     e = m.entries
     d = m.grid_dim
-    pairing = max_abs(dagger(e) - np.swapaxes(e, -4, -3), 4)
+    # Residual grids are built in place and dropped in turn: one temporary grid at a time.
+    pairing = np.conjugate(np.swapaxes(np.swapaxes(e, -4, -3), -2, -1), out=np.empty_like(e))
+    pairing = max_abs(np.subtract(pairing, e, out=pairing), 4)
     trace = max_abs(np.einsum("...iipq->...pq", e) - np.eye(m.global_dim), 2)
     first_row, first_col = e[..., :1, :, :, :], e[..., :, :1, :, :]
-    product = max_abs(first_row @ first_col - e, 4)  # before ``closure`` exists
+    product = first_row @ first_col
+    product = max_abs(np.subtract(product, e, out=product), 4)
     closure = first_col @ first_row
     closure[..., np.arange(d), np.arange(d), :, :] -= e[..., :1, 0, :, :]
     return ConsistencyReport(pairing, np.maximum(product, max_abs(closure, 4)), trace, tol)

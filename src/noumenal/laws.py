@@ -76,7 +76,7 @@ BUG_PERTURBATION = 1e-3
 
 #: Cap on the bytes of one batch's grids on the union of its systems,
 #: ``B·d²·D²·16``; a batch holds at least one trial.
-BATCH_GRID_BYTES = 256 * 1024
+BATCH_GRID_BYTES = 192 * 1024
 
 #: Trials whose generators are alive at once; batches form within a chunk.
 TRIAL_CHUNK = 256
