@@ -304,8 +304,8 @@ def noumenal_distance(n1: OperatorMatrix, n2: OperatorMatrix) -> float | np.ndar
 
 
 def noumenal_equal(n1: OperatorMatrix, n2: OperatorMatrix, tol: float = TOL_EQ) -> bool:
-    """Elementwise equality of two grids within ``tol``."""
-    return noumenal_distance(n1, n2) <= tol
+    """Elementwise equality of two grids, or of every pair in two batches, within ``tol``."""
+    return bool(np.all(noumenal_distance(n1, n2) <= tol))
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_non_finite_tolerance_is_input_error(capsys, tol):
         (("demo", "no-signalling", "--atoms", "2x2", "--trials", "1", "--seed", "-1"), None),
         (("verify", "--atoms", "2x2", "--trials", "3", "--law", "no_such_law", "--trial", "0"), None),
         (("verify", "--atoms", "2x2", "--trials", "3", "--law", "no_signalling", "--trial", "3"), None),
-        (("verify", "--atoms", "2x2", "--trials", "3", "--trial", "-1"), None),
+        (("verify", "--atoms", "2x2", "--trials", "3", "--law", "no_signalling", "--trial", "-1"), None),
     ],
 )
 def test_malformed_atom_ids_are_input_errors(capsys, tmp_path, argv, track):
