@@ -88,6 +88,7 @@ def _subsystem(lattice: SystemLattice, rng: np.random.Generator, low: int = 1) -
 
 
 def _subsystem_in_global(lattice: SystemLattice, rng: np.random.Generator) -> tuple[System, System]:
+    """A non-empty system, and the global system that the batch cap must count."""
     return *_subsystem(lattice, rng), lattice.global_system
 
 
@@ -139,7 +140,6 @@ class _TrialContext:
 
     def mixed_target(self, system: System) -> DensityOperator:
         """A mixture of one to four random pure states."""
-
         def draw(rng: np.random.Generator) -> np.ndarray:
             k = int(rng.integers(1, 5))
             weights = rng.random(k) + 0.05
