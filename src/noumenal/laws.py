@@ -74,9 +74,9 @@ LAW_SUITE_MAX_DIM = 32
 #: Size of the entry perturbation applied in bug-injection mode.
 BUG_PERTURBATION = 1e-3
 
-#: Cap on the bytes of one batch's grids on the union of its systems,
-#: ``B·d²·D²·16``; a batch holds at least one trial.
-BATCH_GRID_BYTES = 192 * 1024
+#: Cap on one batch's grid bytes on the union of its systems, ``B·d²·D²·16`` (at least
+#: one trial); larger grids page-fault afresh in every batch, a seed-dependent cost.
+BATCH_GRID_BYTES = 128 * 1024
 
 #: Trials whose generators are alive at once; batches form within a chunk.
 TRIAL_CHUNK = 256
