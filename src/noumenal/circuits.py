@@ -48,7 +48,6 @@ from .evolution import from_global_unitary
 from .phenomenal import basis_state_vector, phi, pure_density
 
 ONE_QUBIT_GATES = ("I", "X", "Y", "Z", "H", "S", "T")
-TWO_QUBIT_GATES = ("CNOT", "SWAP", "CZ")
 
 
 @dataclass

@@ -58,9 +58,10 @@ def dagger(matrix: np.ndarray) -> np.ndarray:
     return np.swapaxes(matrix.conj(), -1, -2)
 
 
-def as_complex_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """A complex matrix, or stack of matrices, of ``rows x cols`` when given."""
-    arr = np.array(data, dtype=np.complex128, order="C")
+def as_complex_matrix(data, rows: int | None = None, cols: int | None = None, copy: bool | None = None) -> np.ndarray:
+    """A C-contiguous complex matrix, or stack of matrices, of ``rows x cols``
+    when given: ``data`` itself when it already is one, unless ``copy``."""
+    arr = np.array(data, dtype=np.complex128, order="C", copy=copy)
     if arr.ndim < 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={arr.ndim}")
     if rows is not None and arr.shape[-2:] != (rows, cols if cols is not None else rows):
@@ -82,9 +83,10 @@ def is_unitary(matrix: np.ndarray, tol: float = TOL_UNITARY) -> bool:
 
 def matrix_to_json(matrix: np.ndarray) -> np.ndarray:
     """The float64 array of ``[re, im]`` pairs (shape ``(*matrix.shape, 2)``)
-    of an array of any rank; ``.tolist()`` gives its JSON value."""
+    of an array of any rank; ``.tolist()`` gives its JSON value.  A view of
+    ``matrix`` when it is a C-contiguous complex128 array of rank >= 1."""
     matrix = np.asarray(matrix, dtype=np.complex128)
-    return np.stack((matrix.real, matrix.imag), axis=-1)
+    return np.ascontiguousarray(matrix).view(np.float64).reshape(*matrix.shape, 2)
 
 
 def matrix_from_json(payload, rank: int = 2) -> np.ndarray:
@@ -119,7 +121,7 @@ class UnitaryOperator:
     system: System
 
     def __post_init__(self) -> None:
-        matrix = as_complex_matrix(self.matrix)
+        matrix = as_complex_matrix(self.matrix, copy=True)
         d = self.system.dim
         if matrix.shape[-2:] != (d, d):
             raise DimensionMismatch(
@@ -154,7 +156,7 @@ class DensityOperator:
     system: System
 
     def __post_init__(self) -> None:
-        matrix = as_complex_matrix(self.matrix)
+        matrix = as_complex_matrix(self.matrix, copy=True)
         d = self.system.dim
         if matrix.shape[-2:] != (d, d):
             raise DimensionMismatch(

@@ -127,8 +127,8 @@ def render_scenario(result: ScenarioResult) -> str:
 # ---------------------------------------------------------------------------
 
 #: Entries of the largest array rendered as one string.  Bigger arrays are
-#: walked down to rows of at most this many entries, so no string, list or
-#: write grows with the payload.
+#: rendered in runs of whole rows of at most this many entries, so no string,
+#: list or write grows with the payload.
 BLOCK_FLOATS = 1024
 
 #: ``dump_json`` writes once this many characters have accumulated.
@@ -140,11 +140,11 @@ def dump_json(payload, stream) -> None:
     to ``stream``, without the per-value generators of the pure-Python encoder
     that ``indent`` selects, in pieces of about ``WRITE_CHARS`` characters.
 
-    Dicts with ``str`` keys, lists and tuples are walked, and so are arrays of
-    more than ``BLOCK_FLOATS`` entries, along their first axis; a smaller
-    non-empty finite float64 array (a row of a serialized matrix or grid) is
-    rendered one nesting level at a time; every other value is handed to
-    ``json.dumps`` itself.
+    Dicts with ``str`` keys, lists and tuples are walked; an array of more than
+    ``BLOCK_FLOATS`` entries renders in runs of whole rows of at most that many,
+    or is walked along its first axis when a row does not fit.  A non-empty
+    finite float64 array or run is rendered from the cached all-zero text of
+    its shape; every other value is handed to ``json.dumps`` itself.
     """
     pending: list[str] = []
     size = 0
@@ -161,25 +161,24 @@ def _chunks(value, depth: int):
     """The text of ``value`` at nesting ``depth``, in order, as strings."""
     kind = type(value)
     if kind is np.ndarray and value.size > BLOCK_FLOATS:
-        # Walked like a list: of rows, or of the Python scalars of a 1-D array.
-        kind, value = list, list(value) if value.ndim > 1 else value.tolist()
+        rows = BLOCK_FLOATS // (value.size // len(value))
+        if rows:
+            # A run is one block at this depth; runs share the array's outer
+            # brackets, so each drops its "[" and its closing "\n", indent, "]".
+            yield "["
+            for start in range(0, len(value), rows):
+                yield ("," if start else "") + _block(value[start : start + rows], depth)[1 : -2 * depth - 2]
+            yield "\n" + "  " * depth + "]"
+            return
+        kind, value = list, list(value)
     if kind is dict and value and all(type(key) is str for key in value):
         brackets = "{}"
         entries = ((json.dumps(key) + ": ", item) for key, item in value.items())
     elif (kind is list or kind is tuple) and value:
         brackets = "[]"
         entries = (("", item) for item in value)
-    elif (
-        kind is np.ndarray and value.dtype == np.float64 and value.ndim and value.size
-        and np.isfinite(value).all()
-    ):
-        yield _float_block(value, depth)
-        return
     else:
-        # JSON strings never hold a raw newline, so every newline here is a
-        # line break that json.dumps would indent by the enclosing depth.
-        text = json.dumps(value, indent=2, default=np.ndarray.tolist)
-        yield text.replace("\n", "\n" + "  " * depth)
+        yield _block(value, depth)
         return
     inner = "\n" + "  " * (depth + 1)
     separator = brackets[0] + inner
@@ -190,29 +189,43 @@ def _chunks(value, depth: int):
     yield "\n" + "  " * depth + brackets[1]
 
 
+def _block(value, depth: int) -> str:
+    """The text of a value that is not walked, at nesting ``depth``."""
+    if type(value) is np.ndarray and value.dtype == np.float64 and value.ndim and value.size and np.isfinite(value).all():
+        return _float_block(value, depth)
+    # JSON strings never hold a raw newline, so every newline here is a line
+    # break that json.dumps would indent by the enclosing depth.
+    text = json.dumps(value, indent=2, default=np.ndarray.tolist)
+    return text.replace("\n", "\n" + "  " * depth)
+
+
 def _float_block(value: np.ndarray, depth: int) -> str:
     """A non-empty finite float64 array of rank >= 1 rendered at ``depth``:
-    the all-zero text with ``repr`` written at each leaf whose bits are not
-    all zero, so ``-0.0`` is formatted and only ``+0.0`` is skipped."""
+    the cached all-zero text, with ``repr`` in place of ``"0.0"`` at each leaf
+    whose bits are not all zero, so ``-0.0`` is formatted and only ``+0.0`` is
+    skipped.  An all-zero block is the cached string itself."""
+    text, offsets = _zero_text(value.shape, depth)
     flat = value.ravel()
     leaves = np.flatnonzero(flat.view(np.uint64))
-    pieces = list(_pieces(value.shape, depth))
-    for place, leaf in zip((2 * leaves + 1).tolist(), flat[leaves].tolist()):
-        pieces[place] = repr(leaf)
+    if not leaves.size:
+        return text
+    pieces, end = [], 0
+    for at, leaf in zip(offsets[leaves].tolist(), flat[leaves].tolist()):
+        pieces += text[end:at], repr(leaf)
+        end = at + 3
+    pieces.append(text[end:])
     return "".join(pieces)
 
 
 @functools.lru_cache(maxsize=128)
-def _pieces(shape: tuple[int, ...], depth: int) -> tuple[str, ...]:
-    """The text of an all-zero float block, literal text at the even places
-    and ``"0.0"`` at each leaf's odd place.  Built from the innermost level
-    out; the literals between leaves that close the same number of levels
-    are one string object, so a rank-r block holds r + 2 distinct literals."""
-    pieces = ("", "0.0", "")
+def _zero_text(shape: tuple[int, ...], depth: int) -> tuple[str, np.ndarray]:
+    """The text of an all-zero float block of ``shape`` at ``depth``, and the
+    read-only offsets of its leaves' ``"0.0"``, in row-major order."""
+    text = "0.0"
     for level in reversed(range(len(shape))):
         inner = "\n" + "  " * (depth + level + 1)
-        close = "\n" + "  " * (depth + level) + "]"
-        body = pieces[1:-1]
-        between, last = (pieces[-1] + "," + inner + pieces[0],), (pieces[-1] + close,)
-        pieces = ("[" + inner + pieces[0],) + (body + between) * (shape[level] - 1) + body + last
-    return pieces
+        text = "[" + inner + ("," + inner).join([text] * shape[level]) + "\n" + "  " * (depth + level) + "]"
+    # Each leaf holds the text's only kind of ".", one character in.
+    offsets = np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == ord(".")) - 1
+    offsets.flags.writeable = False
+    return text, offsets

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from noumenal import GATES, load_circuit, matrix_to_json, simulate_circuit
 from noumenal.cli import main
+from noumenal.reports import BLOCK_FLOATS
 
 
 @pytest.fixture
@@ -247,6 +248,29 @@ def test_simulate_json_is_json_dumps_of_the_record(capsys, bell_file):
     code, out, _ = run_cli(capsys, "simulate", "--file", bell_file, "--format", "json")
     assert code == 0
     record = simulate_circuit(load_circuit(bell_file))
+    assert out == json.dumps(record, indent=2, default=np.ndarray.tolist) + "\n"
+
+
+def test_simulate_json_of_six_qubits_is_json_dumps_of_the_record(capsys, tmp_path):
+    payload = {
+        "atoms": [{"id": i, "dim": 2, "label": f"q{i}"} for i in range(6)],
+        "initial_state": "pure:|000000>",
+        "gates": [
+            {"matrix": matrix_to_json(GATES["T"] @ GATES["H"]).tolist(), "targets": [4]},
+            {"name": "CNOT", "targets": [4, 1]},
+            {"name": "H", "targets": [1]},
+        ],
+        "track": [[1]],
+    }
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "simulate", "--file", str(path), "--format", "json")
+    assert code == 0
+    record = simulate_circuit(load_circuit(path))
+    # Each grid holds several runs of several whole rows.
+    entries = record["steps"][-1]["tracked"][0]["evolution"]["entries"]
+    rows_per_run = BLOCK_FLOATS // entries[0, 0, 0].size
+    assert entries.shape == (2, 2, 64, 64, 2) and 1 < rows_per_run < entries.shape[2]
     assert out == json.dumps(record, indent=2, default=np.ndarray.tolist) + "\n"
 
 

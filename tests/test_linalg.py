@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noumenal import linalg
 from noumenal import (
     GATES,
     DensityOperator,
@@ -345,6 +346,19 @@ def test_density_operator_validation(lat22):
         bad.validate_psd()
 
 
+@pytest.mark.parametrize("kind", [UnitaryOperator, DensityOperator])
+def test_operators_keep_one_frozen_copy_and_readers_copy_nothing(lat22, kind):
+    caller = np.eye(4, dtype=np.complex128) / (1 if kind is UnitaryOperator else 4)
+    op = kind(caller, lat22.global_system)
+    assert caller.flags.writeable and not op.matrix.flags.writeable
+    assert not np.shares_memory(caller, op.matrix)
+    assert np.array_equal(caller, op.matrix)
+    # Kernels that only read an operand take a complex C-contiguous one as is.
+    assert linalg.as_complex_matrix(caller, 4) is caller
+    assert linalg.as_complex_matrix(caller.T).flags.c_contiguous
+    assert linalg.as_complex_matrix([[1, 0], [0, 1]]).dtype == np.complex128
+
+
 def test_non_finite_entries_fail_closed(lat22):
     assert max_abs(np.array([0.5, np.nan])) == np.inf
     assert max_abs(np.array([0.5, -np.inf])) == np.inf
@@ -382,6 +396,18 @@ def test_matrix_json_round_trip(rows):
     matrix = np.array(rows, dtype=np.complex128)
     again = matrix_from_json(matrix_to_json(matrix))
     assert np.array_equal(matrix, again)
+
+
+def test_matrix_to_json_is_a_view_of_the_stacked_parts():
+    matrix = np.random.default_rng(5).standard_normal((3, 4, 2)) @ np.array([1, 1j])
+    matrix[0, 1] = complex(-0.0, 0.0)
+    matrix[2, 3] = complex(0.0, -0.0)
+    assert np.shares_memory(matrix_to_json(matrix), matrix)
+    for value in (matrix, matrix.T, matrix[:, ::2], matrix[0], matrix[:, 1], matrix[1, 2], np.eye(2), [[1, 2j]]):
+        stacked = np.stack((np.real(value), np.imag(value)), axis=-1)
+        out = matrix_to_json(value)
+        assert out.dtype == np.float64 and out.shape == (*np.shape(value), 2)
+        assert out.tobytes() == stacked.tobytes()
 
 
 def test_matrix_json_rejects_garbage():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -68,6 +69,7 @@ json_values = st.recursive(
 @given(json_values)
 @example(np.array(0.5))
 @example({"empty": np.empty((2, 0))})
+@example(np.array([{"a": [1, None]}] * (BLOCK_FLOATS + 1) + [None], dtype=object))
 def test_dumps_json_matches_json_dumps(value):
     assert dumps_json(value) == oracle(value)
 
@@ -156,10 +158,58 @@ def test_sparse_blocks_render_like_json_dumps(block, depth):
     assert dumps_json({"entries": grid}) == oracle({"entries": grid})
 
 
-def test_piece_cache_is_bounded_and_shares_its_literals():
-    assert reports._pieces.cache_info().maxsize == 128
+def test_zero_text_cache_is_bounded_and_holds_one_text_per_key():
+    assert reports._zero_text.cache_info().maxsize == 128
     for shape in [(BLOCK_FLOATS,), (32, 32), (4, 16, 16), (2, 2, 2, 2, 2)]:
-        pieces = reports._pieces(shape, 3)
-        assert len(pieces) == 2 * math.prod(shape) + 1
-        assert set(pieces[1::2]) == {"0.0"}
-        assert len({id(piece) for piece in pieces if piece != "0.0"}) <= len(shape) + 2
+        text, offsets = reports._zero_text(shape, 3)
+        assert reports._zero_text(shape, 3)[0] is text
+        assert text == oracle(np.zeros(shape)).replace("\n", "\n" + "  " * 3)
+        assert offsets.shape == (math.prod(shape),) and not offsets.flags.writeable
+        assert (np.diff(offsets) > 0).all()
+        assert {text[at : at + 3] for at in offsets.tolist()} == {"0.0"}
+        # An all-zero block is the cached text itself.
+        assert _float_block(np.zeros(shape), 3) is text
+
+
+def _float_block_calls(shape):
+    """``_float_block`` calls for a finite array: one per run of whole rows."""
+    if math.prod(shape) <= BLOCK_FLOATS:
+        return 1
+    row = math.prod(shape[1:])
+    if row <= BLOCK_FLOATS:
+        return -(-shape[0] // (BLOCK_FLOATS // row))
+    return shape[0] * _float_block_calls(shape[1:])
+
+
+@st.composite
+def sparse_row_arrays(draw):
+    """Float64 arrays of more than BLOCK_FLOATS entries, mostly +0.0, with one
+    -0.0 leaf: rows that fit a run several times, or rows of more than
+    BLOCK_FLOATS floats (D > 512), and a leaf to hold a NaN."""
+    lead, row = (draw(st.integers(1, 3)), draw(st.integers(1, 2))), draw(st.sampled_from([40, 64, 513, 600]))
+    rows = max(2, BLOCK_FLOATS // (math.prod(lead) * row * 2) + 1)
+    shape = (*lead, draw(st.integers(rows, rows + 10)), row, 2)
+    flat = np.zeros(math.prod(shape))
+    places = draw(st.lists(st.integers(0, flat.size - 1), min_size=1, max_size=40))
+    flat[places] = draw(st.lists(SPARSE_VALUES, min_size=len(places), max_size=len(places)))
+    flat[places[0]] = -0.0
+    return flat.reshape(shape), draw(st.integers(0, flat.size - 1))
+
+
+@settings(deadline=None, max_examples=25)
+@given(sparse_row_arrays())
+@example((_last_leaf_only((1, 1, 8, 600, 2)), 3000))
+@example((np.full((3, 2, 12, 40, 2), -0.0), 0))
+def test_arrays_render_in_runs_of_rows(drawn):
+    array, nan_at = drawn
+    assert array.size > BLOCK_FLOATS
+    with mock.patch.object(reports, "_float_block", wraps=_float_block) as spy:
+        assert dumps_json({"entries": array}) == oracle({"entries": array})
+    assert spy.call_count == _float_block_calls(array.shape)
+    assert all(call.args[0].size <= BLOCK_FLOATS for call in spy.call_args_list)
+    # The run that holds a NaN falls back to json.dumps; the others do not.
+    with_nan = array.copy()
+    with_nan.flat[nan_at] = math.nan
+    with mock.patch.object(reports, "_float_block", wraps=_float_block) as spy:
+        assert dumps_json({"entries": with_nan}) == oracle({"entries": with_nan})
+    assert spy.call_count == _float_block_calls(array.shape) - 1
