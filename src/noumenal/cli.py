@@ -123,7 +123,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             lattice, args.trials, args.seed, a_atoms=a_atoms, tol=args.tol
         )
     _emit(result.to_json(), render_scenario(result), args.format)
-    return EXIT_PASS if result.passed else EXIT_FAIL
+    return EXIT_FAIL if result.passed is False else EXIT_PASS
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -233,19 +233,17 @@ def no_signalling_demo(
         rho = DensityOperator(random_density_matrix(s.dim, rng), s)
         phenomenal_worst = max(phenomenal_worst, no_signalling_residual(rho, u, v, b_sys))
 
-    passed = trials == 0 or (noumenal_worst <= tol and phenomenal_worst <= tol)
     findings = {
         "system_a": list(a_sys.atom_ids),
         "system_b": list(b_sys.atom_ids),
         "trials": trials,
         "seed": seed,
         "tolerance": tol,
-        "noumenal_max_residual": noumenal_worst,
-        "phenomenal_max_residual": phenomenal_worst,
+        "noumenal_max_residual": noumenal_worst if trials else None,
+        "phenomenal_max_residual": phenomenal_worst if trials else None,
     }
-    summary = [
-        f"bipartition A={list(a_sys.atom_ids)} vs B={list(b_sys.atom_ids)}, {trials} trials",
-        f"noumenal no-influence residual: {noumenal_worst:.2e}",
-        f"phenomenal no-influence residual: {phenomenal_worst:.2e}",
-    ]
-    return ScenarioResult("no-signalling", findings, summary, passed)
+    summary = [f"bipartition A={list(a_sys.atom_ids)} vs B={list(b_sys.atom_ids)}, {trials} trials"]
+    if not trials:  # nothing was checked: skipped, like the laws of `verify --trials 0`
+        return ScenarioResult("no-signalling", findings, [*summary, "0 trials checked nothing: skipped"], None)
+    summary += [f"noumenal no-influence residual: {noumenal_worst:.2e}", f"phenomenal no-influence residual: {phenomenal_worst:.2e}"]
+    return ScenarioResult("no-signalling", findings, summary, noumenal_worst <= tol and phenomenal_worst <= tol)

@@ -270,24 +270,19 @@ def noumenal_product(
     when the laws fail.  Pass ``check=False`` in trusted pipelines.
     """
     if na.basis_tag != nb.basis_tag:
-        raise BasisMismatch(
-            f"cannot combine grids in bases {na.basis_tag!r} and {nb.basis_tag!r}"
-        )
+        raise BasisMismatch(f"cannot combine grids in bases {na.basis_tag!r} and {nb.basis_tag!r}")
     perm = index_map(na.system, nb.system)  # also rejects overlapping systems
     union = na.system.union(nb.system)
     big_d = na.global_dim
-    prod = na.entries[..., :, None, :, None, :, :] @ nb.entries[..., None, :, None, :, :, :]
-    out = np.empty((*prod.shape[:-6], union.dim, union.dim, big_d, big_d), dtype=np.complex128)
-    out[..., perm[:, :, None, None], perm[None, None, :, :], :, :] = prod
-    del prod  # not alive during the consistency check below
+    batch = np.broadcast_shapes(na.entries.shape[:-4], nb.entries.shape[:-4])
+    out = np.empty((*batch, union.dim, union.dim, big_d, big_d), dtype=np.complex128)
+    for i in range(na.grid_dim):  # entries ((i,k),(j,l)) = N^A_ij N^B_kl, one row i of A at a time
+        out[..., perm[i, :, None, None], perm, :, :] = na.entries[..., i, None, :, None, :, :] @ nb.entries[..., :, None, :, :, :]
     result = EvolutionMatrix._trusted(union, out, na.basis_tag)
     if check:
         report = consistency_check(result, tol)
         if not report.ok:
-            raise CompatibilityViolation(
-                f"states on {na.system} and {nb.system} are not compatible: "
-                f"{report.residuals()}"
-            )
+            raise CompatibilityViolation(f"states on {na.system} and {nb.system} are not compatible: {report.residuals()}")
     return result
 
 
@@ -297,10 +292,17 @@ def noumenal_distance(n1: OperatorMatrix, n2: OperatorMatrix) -> float | np.ndar
     if n1.system != n2.system:
         raise SystemMismatch(f"cannot compare states of {n1.system} and {n2.system}")
     if n1.basis_tag != n2.basis_tag:
-        raise BasisMismatch(
-            f"cannot compare grids in bases {n1.basis_tag!r} and {n2.basis_tag!r}"
-        )
-    return max_abs(n1.entries - n2.entries, 4)
+        raise BasisMismatch(f"cannot compare grids in bases {n1.basis_tag!r} and {n2.basis_tag!r}")
+    shape = n1.entries.shape
+    if n2.entries.shape != shape:
+        raise DimensionMismatch(f"cannot compare grid batches of shapes {shape} and {n2.entries.shape}")
+    rows1, rows2 = (n.entries.reshape(-1, *shape[-3:]) for n in (n1, n2))
+    # At most d contiguous runs of grid rows: numpy needs no buffers, and a difference is a run.
+    step = max(n1.grid_dim, -(-len(rows1) // n1.grid_dim))
+    worst = np.empty(len(rows1))
+    for k in range(0, len(rows1), step):
+        np.abs(rows1[k : k + step] - rows2[k : k + step]).max(axis=(1, 2, 3), out=worst[k : k + step])
+    return max_abs(worst.reshape(shape[:-3]), 1)
 
 
 def noumenal_equal(n1: OperatorMatrix, n2: OperatorMatrix, tol: float = TOL_EQ) -> bool:

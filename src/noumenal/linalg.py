@@ -47,7 +47,7 @@ def max_abs(a: np.ndarray, ndim: int | None = None) -> float | np.ndarray:
     test fails closed."""
     a = np.abs(np.asarray(a))
     core = a.ndim if ndim is None else ndim
-    worst = np.max(a, axis=tuple(range(a.ndim - core, a.ndim)), initial=0.0)
+    worst = a.max(axis=tuple(range(a.ndim - core, a.ndim)), initial=0.0)
     if worst.ndim:
         return np.where(worst == worst, worst, np.inf)  # NaN is the only value unequal to itself
     return float(worst) if worst == worst else math.inf

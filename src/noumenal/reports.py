@@ -70,13 +70,14 @@ class ScenarioResult:
 
     ``findings`` maps names to record values: matrices as ``matrix_to_json``
     arrays, verdict booleans and margins, all written by ``dump_json``;
-    ``summary`` holds human-oriented lines, one per key step.
+    ``summary`` holds human-oriented lines, one per key step.  ``passed`` is
+    ``None`` when nothing was checked (reported as "skipped").
     """
 
     scenario_id: str
     findings: dict
     summary: list[str] = field(default_factory=list)
-    passed: bool = True
+    passed: bool | None = True
 
     def to_json(self) -> dict:
         return {
@@ -118,7 +119,7 @@ def render_law_table(reports: list[LawReport]) -> str:
 def render_scenario(result: ScenarioResult) -> str:
     lines = [f"scenario: {result.scenario_id}"]
     lines.extend(f"  {line}" for line in result.summary)
-    lines.append(f"  verdict: {'PASS' if result.passed else 'FAIL'}")
+    lines.append(f"  verdict: {({True: 'PASS', False: 'FAIL', None: 'SKIPPED'})[result.passed]}")
     return "\n".join(lines)
 
 

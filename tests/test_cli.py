@@ -89,6 +89,21 @@ def test_demo_no_signalling(capsys):
     assert payload["findings"]["noumenal_max_residual"] <= 1e-9
 
 
+def test_demo_no_signalling_zero_trials_is_skipped(capsys):
+    argv = ("demo", "no-signalling", "--atoms", "2x2", "--trials", "0")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is None
+    assert payload["findings"]["noumenal_max_residual"] is None
+    assert payload["findings"]["phenomenal_max_residual"] is None
+    assert "0 trials checked nothing: skipped" in payload["summary"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert "0 trials checked nothing: skipped" in out
+    assert "verdict: SKIPPED" in out and "PASS" not in out and "residual" not in out
+
+
 def test_demo_unknown_name_is_usage_error(capsys):
     code = main(["demo", "unheard-of"])
     assert code == 2

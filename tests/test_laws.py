@@ -5,6 +5,7 @@ import json
 import math
 import shlex
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from noumenal import (
     LawReport,
     SizeBoundExceeded,
     SystemLattice,
+    System,
     ValidationError,
     laws,
     run_law_suite,
@@ -227,3 +229,45 @@ def test_peak_memory_does_not_grow_with_trials(lat222, monkeypatch):
     monkeypatch.setattr(laws, "LAWS", tuple(law for law in LAWS if law.law_id in kept))
     run_law_suite(lat222, 2, seed=0)  # first-call allocations
     assert _traced_peak(lat222, 2000) <= 1.5 * _traced_peak(lat222, 200)
+
+
+def test_batch_size_never_changes_a_report(lat222, monkeypatch):
+    runs = []
+    for cap in (0, 1 << 40):  # one trial per batch, then one batch per group
+        monkeypatch.setattr(laws, "BATCH_GRID_BYTES", cap)
+        runs.append([run_law_suite(lat222, 20, seed=5, inject_bug=bug) for bug in (False, True)])
+    assert any(report.counterexample for report in runs[1][1])  # the bug run's payloads are compared too
+    for alone, grouped in zip(*runs):
+        for one, other in zip(alone, grouped):
+            # JSON text holds each float's repr, so equal text is equal bits.
+            assert json.dumps(one.to_json(), default=np.ndarray.tolist) == json.dumps(
+                other.to_json(), default=np.ndarray.tolist
+            ), one.law_id
+
+
+@pytest.mark.parametrize(
+    "law_id",
+    ["action_composition", "basis_change_direct_construction", "basis_change_composition", "partial_trace_surjectivity"],
+)
+def test_heaviest_laws_hold_few_grids_per_batch(lat222, monkeypatch, law_id):
+    """A batch's traced peak stays under 3.5 of its grids (the union grid of
+    its systems) plus a fixed allowance, so no grid-sized temporary creeps back."""
+    monkeypatch.setattr(laws, "BATCH_GRID_BYTES", 512 * 1024)
+    biggest, worst_of_batch = [0], laws._worst_of_batch
+
+    def recording(lattice, law, law_index, seed, batch, inject_bug):
+        union = reduce(System.union, batch[0][2], lattice.empty_system)
+        biggest[0] = max(biggest[0], len(batch) * 16 * (union.dim * lattice.global_dim) ** 2)
+        return worst_of_batch(lattice, law, law_index, seed, batch, inject_bug)
+
+    monkeypatch.setattr(laws, "_worst_of_batch", recording)
+    run_law_suite(lat222, 100, seed=0, law_id=law_id)  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_law_suite(lat222, 100, seed=0, law_id=law_id)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert biggest[0] == 512 * 1024  # a full batch of eight global grids ran
+    assert peak <= 3.5 * biggest[0] + 192 * 1024
