@@ -51,7 +51,7 @@ from noumenal.phenomenal import (
     trace_commutation_residual,
 )
 
-SIZES = (1, 3, 8)  # 8: a full batch of global grids at D = 8
+SIZES = (1, 3, 8)  # 8 covers the longest batch of global grids at D = 8, six
 
 
 def rngs(size: int, seed: int = 7) -> list[np.random.Generator]:
