@@ -43,7 +43,6 @@ from .linalg import (
     max_abs,
     partial_trace,
 )
-from .linalg import _digit_table  # package-internal index helper
 from .evolution import from_global_unitary
 from .phenomenal import basis_state_vector, phi, pure_density
 
@@ -69,13 +68,8 @@ class Circuit:
 
 def _listed_order_permutation(system: System, targets: tuple[int, ...]) -> np.ndarray:
     """Map canonical (ascending-atom) indices to listed-target-order indices."""
-    ascending = system.atom_ids
-    dims = dict(zip(ascending, system.atom_dims))
-    table = _digit_table(system)
-    perm = np.zeros(system.dim, dtype=np.intp)
-    for atom_id in targets:
-        perm = perm * dims[atom_id] + table[ascending.index(atom_id)]
-    return perm
+    listed = np.arange(system.dim).reshape([system.lattice.dims[t] for t in targets])
+    return listed.transpose([targets.index(atom_id) for atom_id in system.atom_ids]).reshape(-1)
 
 
 def gate_unitary(gate: GateApplication, lattice: SystemLattice) -> UnitaryOperator:
@@ -123,7 +117,7 @@ def _parse_initial_state(payload, lattice: SystemLattice) -> DensityOperator:
         if not payload.startswith("pure:"):
             raise ParseError(f"string initial states must look like 'pure:|01>', got {payload!r}")
         digits_text = payload[len("pure:"):].strip().lstrip("|").rstrip(">⟩")
-        if len(digits_text) != lattice.n_atoms or not digits_text.isdigit():
+        if len(digits_text) != lattice.n_atoms or not (digits_text.isascii() and digits_text.isdigit()):
             raise ParseError(
                 f"need one digit per atom ({lattice.n_atoms}), got {digits_text!r}"
             )

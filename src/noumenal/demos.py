@@ -67,8 +67,6 @@ def bell_incompleteness_demo(
     lattice: SystemLattice,
     local_basis: np.ndarray | None = None,
     swap: bool = False,
-    margin: float = MARGIN_DISTINCT,
-    tol: float = TOL_DEMO_EXACT,
 ) -> ScenarioResult:
     """Show that the epimorphism collapses distinct noumenal states.
 
@@ -78,7 +76,7 @@ def bell_incompleteness_demo(
     b. both one-qubit marginals map onto the maximally mixed state, before
        and after a local bit flip;
     c. the bit flip nevertheless changes the local noumenal state (gap at
-       least ``margin``);
+       least ``MARGIN_DISTINCT``);
     d. flipping both qubits changes the joint noumenal state while leaving
        its phenomenal state untouched;
     e. flipping one qubit moves the joint phenomenal state onto the
@@ -158,11 +156,11 @@ def bell_incompleteness_demo(
     margin_e = max_abs(phen_flip_one - phen_joint)
 
     verdicts = {
-        "a_joint_maps_to_bell_state": residual_a <= tol,
-        "b_marginals_maximally_mixed": residual_b <= tol,
-        "c_local_flip_changes_noumenal_state": margin_c >= margin,
-        "d_double_flip_hides_from_epimorphism": margin_d >= margin and residual_d <= tol,
-        "e_single_flip_observably_different": residual_e <= tol and margin_e >= margin,
+        "a_joint_maps_to_bell_state": residual_a <= TOL_DEMO_EXACT,
+        "b_marginals_maximally_mixed": residual_b <= TOL_DEMO_EXACT,
+        "c_local_flip_changes_noumenal_state": margin_c >= MARGIN_DISTINCT,
+        "d_double_flip_hides_from_epimorphism": margin_d >= MARGIN_DISTINCT and residual_d <= TOL_DEMO_EXACT,
+        "e_single_flip_observably_different": residual_e <= TOL_DEMO_EXACT and margin_e >= MARGIN_DISTINCT,
     }
     passed = all(verdicts.values())
 
@@ -178,7 +176,7 @@ def bell_incompleteness_demo(
             "e_target": residual_e,
         },
         "margins": {"c": margin_c, "d": margin_d, "e_phenomenal": margin_e},
-        "required_margin": margin,
+        "required_margin": MARGIN_DISTINCT,
         "phenomenal_joint": matrix_to_json(phen_joint),
         "phenomenal_a": matrix_to_json(phen_local),
         "phenomenal_a_after_flip": matrix_to_json(phen_local_flipped),

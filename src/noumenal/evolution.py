@@ -18,7 +18,6 @@ gate for products of independently built states:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,25 +153,40 @@ class ConsistencyReport:
         }
 
 
-def consistency_check(m: OperatorMatrix, tol: float = TOL_EQ) -> ConsistencyReport:
-    """Test a grid against the three evolution-matrix laws, exactly.
+# Each residual builds its grids in place and drops them in turn: one temporary grid at a time.
 
-    The product law holds for all ``d^4`` index quadruples exactly when its
-    generators ``e(i,j) = e(0,j) e(i,0)`` and ``e(i,0) e(0,j) = δ_ij e(0,0)``
-    do, so ``2 d^2`` operator products check it at every grid size.
+def pairing_residual(m: OperatorMatrix) -> float | np.ndarray:
+    """Largest ``|entry(j, i)† - entry(i, j)|`` of a grid (one per grid of a batch)."""
+    e = m.entries
+    pairing = np.conjugate(np.swapaxes(np.swapaxes(e, -4, -3), -2, -1), out=np.empty_like(e))
+    return max_abs(np.subtract(pairing, e, out=pairing), 4)
+
+
+def product_residual(m: OperatorMatrix) -> float | np.ndarray:
+    """Largest residual of the product law over all ``d^4`` index quadruples.
+
+    The law holds exactly when its generators ``e(i,j) = e(0,j) e(i,0)`` and
+    ``e(i,0) e(0,j) = δ_ij e(0,0)`` do, so ``2 d^2`` operator products check
+    it at every grid size.
     """
     e = m.entries
     d = m.grid_dim
-    # Residual grids are built in place and dropped in turn: one temporary grid at a time.
-    pairing = np.conjugate(np.swapaxes(np.swapaxes(e, -4, -3), -2, -1), out=np.empty_like(e))
-    pairing = max_abs(np.subtract(pairing, e, out=pairing), 4)
-    trace = max_abs(np.einsum("...iipq->...pq", e) - np.eye(m.global_dim), 2)
     first_row, first_col = e[..., :1, :, :, :], e[..., :, :1, :, :]
     product = first_row @ first_col
     product = max_abs(np.subtract(product, e, out=product), 4)
     closure = first_col @ first_row
     closure[..., np.arange(d), np.arange(d), :, :] -= e[..., :1, 0, :, :]
-    return ConsistencyReport(pairing, np.maximum(product, max_abs(closure, 4)), trace, tol)
+    return np.maximum(product, max_abs(closure, 4))
+
+
+def trace_residual(m: OperatorMatrix) -> float | np.ndarray:
+    """Largest entry of ``sum_i entry(i, i) - I`` (one per grid of a batch)."""
+    return max_abs(np.einsum("...iipq->...pq", m.entries) - np.eye(m.global_dim), 2)
+
+
+def consistency_check(m: OperatorMatrix, tol: float = TOL_EQ) -> ConsistencyReport:
+    """Test a grid against the three evolution-matrix laws, exactly."""
+    return ConsistencyReport(pairing_residual(m), product_residual(m), trace_residual(m), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +234,16 @@ def identity_evolution(a_sys: System) -> EvolutionMatrix:
     return from_global_unitary(eye, a_sys)
 
 
-def noumenal_action(
-    u: UnitaryOperator, n: OperatorMatrix, u_basis_tag: str = CANONICAL
-) -> EvolutionMatrix:
+def noumenal_action(u: UnitaryOperator, n: OperatorMatrix) -> EvolutionMatrix:
     """Apply a local operation: entry ``(i,j) -> sum_kl U_ik N_kl conj(U_jl)``.
 
-    ``u`` must be expressed in the same basis as ``n`` (``u_basis_tag``
-    names the basis the caller used for ``u``).
+    ``u`` is read in the canonical basis, so ``n`` must be a canonical-basis grid.
     """
     if u.system != n.system:
         raise SystemMismatch(f"operation on {u.system} cannot act on a state of {n.system}")
-    if u_basis_tag != n.basis_tag:
-        raise BasisMismatch(
-            f"operation is in basis {u_basis_tag!r} but state is in {n.basis_tag!r}"
-        )
-    return EvolutionMatrix._trusted(n.system, _conjugate(u.matrix, n.entries), n.basis_tag)
+    if n.basis_tag != CANONICAL:
+        raise BasisMismatch(f"operation is in basis {CANONICAL!r} but state is in {n.basis_tag!r}")
+    return EvolutionMatrix._trusted(n.system, _conjugate(u.matrix, n.entries), CANONICAL)
 
 
 def noumenal_partial_trace(n: OperatorMatrix, traced: System) -> EvolutionMatrix:
@@ -258,9 +267,7 @@ def noumenal_partial_trace(n: OperatorMatrix, traced: System) -> EvolutionMatrix
     return EvolutionMatrix._trusted(keep, out, CANONICAL)
 
 
-def noumenal_product(
-    na: OperatorMatrix, nb: OperatorMatrix, check: bool = True, tol: float = TOL_EQ
-) -> EvolutionMatrix:
+def noumenal_product(na: OperatorMatrix, nb: OperatorMatrix, check: bool = True) -> EvolutionMatrix:
     """Combine states of disjoint systems: entry ``((i,k),(j,l)) = N^A_ij N^B_kl``.
 
     The product of two genuinely compatible states (restrictions of one
@@ -280,7 +287,7 @@ def noumenal_product(
         out[..., perm[i, :, None, None], perm, :, :] = na.entries[..., i, None, :, None, :, :] @ nb.entries[..., :, None, :, :, :]
     result = EvolutionMatrix._trusted(union, out, na.basis_tag)
     if check:
-        report = consistency_check(result, tol)
+        report = consistency_check(result)
         if not report.ok:
             raise CompatibilityViolation(f"states on {na.system} and {nb.system} are not compatible: {report.residuals()}")
     return result
@@ -305,33 +312,23 @@ def noumenal_distance(n1: OperatorMatrix, n2: OperatorMatrix) -> float | np.ndar
     return max_abs(worst.reshape(shape[:-3]), 1)
 
 
-def noumenal_equal(n1: OperatorMatrix, n2: OperatorMatrix, tol: float = TOL_EQ) -> bool:
-    """Elementwise equality of two grids, or of every pair in two batches, within ``tol``."""
-    return bool(np.all(noumenal_distance(n1, n2) <= tol))
+def noumenal_equal(n1: OperatorMatrix, n2: OperatorMatrix) -> bool:
+    """Elementwise equality of two grids, or of every pair in two batches, within ``TOL_EQ``."""
+    return bool(np.all(noumenal_distance(n1, n2) <= TOL_EQ))
 
 
 # ---------------------------------------------------------------------------
 # Change of basis.
 # ---------------------------------------------------------------------------
 
-def _basis_tag_for(matrix: np.ndarray) -> str:
-    digest = hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
-    return f"basis:{digest[:12]}"
-
-
-def change_of_basis(
-    n: OperatorMatrix,
-    b_from: np.ndarray,
-    b_to: np.ndarray,
-    to_tag: str | None = None,
-) -> EvolutionMatrix:
+def change_of_basis(n: OperatorMatrix, b_from: np.ndarray, b_to: np.ndarray, to_tag: str) -> EvolutionMatrix:
     """Re-express a grid in another orthonormal basis of its system's space.
 
     ``b_from`` and ``b_to`` hold the basis vectors as columns, in canonical
     coordinates; ``b_from`` must be the basis the grid is currently indexed
     by.  Entry ``(k, l)`` of the result is ``sum_ij <k|i> entry(i,j) <j|l>``.
-    ``to_tag`` names the target basis (pass ``"canonical"`` when mapping
-    back); by default a content-derived tag is used.
+    ``to_tag`` names the target basis; pass ``"canonical"`` when mapping
+    back.
     """
     d = n.grid_dim
     b_from = np.asarray(b_from, dtype=np.complex128)
@@ -344,5 +341,4 @@ def change_of_basis(
     if n.basis_tag == CANONICAL and max_abs(b_from - np.eye(d)) > TOL_UNITARY:
         raise BasisMismatch("grid is canonical-basis but the source basis is not the identity")
     overlap = dagger(b_to) @ b_from  # <k|i>
-    tag = to_tag if to_tag is not None else _basis_tag_for(b_to)
-    return EvolutionMatrix._trusted(n.system, _conjugate(overlap, n.entries), tag)
+    return EvolutionMatrix._trusted(n.system, _conjugate(overlap, n.entries), to_tag)

@@ -3,15 +3,15 @@
 A lattice fixes a total order of atoms (by ``atom_id``) and a Hilbert-space
 dimension per atom.  A :class:`System` is a subset of those atoms, stored as a
 bit set; union, intersection and complement are plain set algebra.  The atom
-order also fixes the canonical basis layout of every composite system: basis
-indices are mixed-radix numbers whose digits run over the member atoms in
-ascending ``atom_id`` order, first atom most significant.
+order also fixes the canonical basis layout of every composite system: the
+C-order flattening of a tensor with one axis per member atom, in ascending
+``atom_id`` order, so the first atom is the most significant digit.
 
 A lattice never changes and compares by identity, so it owns the memo tables
 of the index bookkeeping built on it: each system's layout (member atom ids,
 their dims and the product dimension), filled lazily by mask here, and the
-digit tables and index maps of :mod:`noumenal.linalg`, filled there.  No
-entry ever needs invalidating, and two lattices never share one.
+index maps of :func:`noumenal.linalg.index_map`, filled there.  No entry ever
+needs invalidating, and two lattices never share one.
 """
 
 from __future__ import annotations
@@ -81,8 +81,6 @@ class SystemLattice:
         self._dims = dims
         self._global_dim = total
         self._layouts: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
-        #: ``linalg._digit_table`` results, keyed by system mask.
-        self.digit_tables: dict = {}
         #: ``linalg.index_map`` results, keyed by ``(a_sys.mask, b_sys.mask)``.
         self.index_maps: dict = {}
 

@@ -27,12 +27,14 @@ from .evolution import (
     EvolutionMatrix,
     OperatorMatrix,
     change_of_basis,
-    consistency_check,
     from_global_unitary,
     noumenal_action,
     noumenal_distance,
     noumenal_partial_trace,
     noumenal_product,
+    pairing_residual,
+    product_residual,
+    trace_residual,
 )
 from .extension import (
     ExtendedNoumenalState,
@@ -453,20 +455,20 @@ def _law_basis_change_round_trip(ctx: _TrialContext, a: System):
 # Grid consistency (the defining signature of evolution matrices).
 # ---------------------------------------------------------------------------
 
-def _consistency_law(residual: str):
-    """A law check on one ``ConsistencyReport`` field of a random grid."""
+def _consistency_law(residual: Callable[[OperatorMatrix], float | np.ndarray]):
+    """A law check on one consistency residual of a random grid."""
 
     def check(ctx: _TrialContext, a: System):
         w = ctx.haar_global()
-        return getattr(consistency_check(ctx.evolution(w, a)), residual), {"w": w.matrix, "a": a}
+        return residual(ctx.evolution(w, a)), {"w": w.matrix, "a": a}
 
     return check
 
 
 LAWS: tuple[Law, ...] = (
-    Law("grid_conjugate_pairing", "grid entries pair up as conjugate transposes", _consistency_law("pairing_residual"), _subsystem),
-    Law("grid_operator_products", "grid entries multiply with the index-contraction rule", _consistency_law("product_residual"), _subsystem),
-    Law("grid_trace_completeness", "diagonal grid entries sum to the identity", _consistency_law("trace_residual"), _subsystem),
+    Law("grid_conjugate_pairing", "grid entries pair up as conjugate transposes", _consistency_law(pairing_residual), _subsystem),
+    Law("grid_operator_products", "grid entries multiply with the index-contraction rule", _consistency_law(product_residual), _subsystem),
+    Law("grid_trace_completeness", "diagonal grid entries sum to the identity", _consistency_law(trace_residual), _subsystem),
     Law("remote_unitary_invariance", "operations on the complement leave the local state unchanged", _law_remote_unitary_invariance, partial(_subsystem, low=0)),
     Law("action_via_global", "acting locally equals rebuilding from the lifted global operation", _law_action_via_global, _subsystem),
     Law("action_composition", "acting with a composite equals acting in sequence", _law_action_composition, _subsystem),

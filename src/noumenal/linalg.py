@@ -192,42 +192,19 @@ class DensityOperator:
 # Index bookkeeping under the fixed atom order.
 # ---------------------------------------------------------------------------
 
-def _digit_table(system: System) -> np.ndarray:
-    """Digits of every basis index of ``system``, one row per member atom.
-
-    Row order follows ascending atom id; the first atom is the most
-    significant digit.  Shape ``(n_member_atoms, system.dim)``.  Memoized on
-    the lattice by mask; the array is shared and read-only.
-    """
-    memo = system.lattice.digit_tables
-    table = memo.get(system.mask)
-    if table is not None:
-        return table
-    dims = system.atom_dims
-    indices = np.arange(system.dim)
-    rows = []
-    remainder = indices
-    for d in reversed(dims):
-        rows.append(remainder % d)
-        remainder = remainder // d
-    rows.reverse()
-    table = np.stack(rows) if rows else np.zeros((0, 1), dtype=np.intp)
-    memo[system.mask] = _frozen(table)
-    return table
-
-
 def index_map(a_sys: System, b_sys: System) -> np.ndarray:
     """Flat composite indices of ``|i> ⊗ |k>`` for disjoint systems.
 
     Returns an integer array ``M`` of shape ``(a_sys.dim, b_sys.dim)`` with
     ``M[i, k]`` the index of the product vector in the canonical basis of the
-    union, whose digits run over the union's atoms in ascending order.  The
-    map is a bijection onto ``range(dim(union))``.
+    union: the C-order flattening of a tensor with one axis per member atom,
+    in ascending atom order.  The map is a bijection onto
+    ``range(dim(union))``.
 
     The map is computed once per lattice and pair of masks and then shared:
-    every call with the same pair returns the same read-only ``intp`` array,
-    so callers must copy it before writing to it.  Overlapping systems are
-    rejected on every call.
+    every call with the same pair returns the same read-only, C-contiguous
+    ``intp`` array, so callers must copy it before writing to it.  Overlapping
+    systems are rejected on every call.
     """
     if not a_sys.is_disjoint_from(b_sys):
         raise DisjointnessViolation(f"systems {a_sys} and {b_sys} overlap")
@@ -237,18 +214,9 @@ def index_map(a_sys: System, b_sys: System) -> np.ndarray:
     if out is not None:
         return out
     union = a_sys.union(b_sys)
-    a_digits = _digit_table(a_sys)
-    b_digits = _digit_table(b_sys)
-    a_ids, b_ids = a_sys.atom_ids, b_sys.atom_ids
-    out = np.zeros((a_sys.dim, b_sys.dim), dtype=np.intp)
-    stride = 1
-    for atom_id, d in zip(reversed(union.atom_ids), reversed(union.atom_dims)):
-        if atom_id in a_ids:
-            digit = a_digits[a_ids.index(atom_id)][:, None]
-        else:
-            digit = b_digits[b_ids.index(atom_id)][None, :]
-        out += stride * digit
-        stride *= d
+    axes = [union.atom_ids.index(atom_id) for atom_id in (*a_sys.atom_ids, *b_sys.atom_ids)]
+    layout = np.arange(union.dim, dtype=np.intp).reshape(union.atom_dims).transpose(axes)
+    out = np.ascontiguousarray(layout).reshape(a_sys.dim, b_sys.dim)
     memo[key] = _frozen(out)
     return out
 
@@ -262,20 +230,14 @@ def merge_indices(a_sys: System, b_sys: System, i: int, k: int) -> int:
     return int(index_map(a_sys, b_sys)[i, k])
 
 
-def embed_operator(
-    op: np.ndarray, a_sys: System, within: System | None = None
-) -> np.ndarray:
-    """Pad ``op`` with identity on the remaining atoms of ``within``.
+def embed_operator(op: np.ndarray, a_sys: System) -> np.ndarray:
+    """Pad ``op`` with identity on the atoms outside ``a_sys``.
 
-    The result represents ``op ⊗ I`` on ``within`` (default: the global
-    system) in its canonical basis, with the atoms of ``a_sys`` kept at their
-    global positions rather than moved to the front.
+    The result represents ``op ⊗ I`` on the global system in its canonical
+    basis, with the atoms of ``a_sys`` kept at their global positions rather
+    than moved to the front.
     """
-    if within is None:
-        within = a_sys.lattice.global_system
-    if not a_sys.is_subsystem_of(within):
-        raise NotSubsystem(f"{a_sys} is not contained in {within}")
-    rest = within.difference(a_sys)
+    rest = a_sys.complement()
     return tensor_operators(op, a_sys, np.eye(rest.dim), rest)
 
 
@@ -359,9 +321,9 @@ def random_pure_state(dim: int, rng: Rng) -> np.ndarray:
     return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
 
 
-def random_density_matrix(dim: int, rng: Rng, rank: int | None = None) -> np.ndarray:
-    """A random mixed state: normalized ``G G†`` for a Ginibre ``G``."""
-    g = _ginibre(rng, dim, dim if rank is None else rank)
+def random_density_matrix(dim: int, rng: Rng) -> np.ndarray:
+    """A random mixed state: normalized ``G G†`` for a square Ginibre ``G``."""
+    g = _ginibre(rng, dim, dim)
     rho = g @ dagger(g)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from noumenal import (
     GATES,
     ParseError,
+    SystemLattice,
     ValidationError,
     circuit_from_json,
     matrix_from_json,
@@ -11,7 +14,9 @@ from noumenal import (
     max_abs,
     simulate_circuit,
 )
-from noumenal.circuits import GateApplication, gate_unitary
+from noumenal.circuits import GateApplication, _listed_order_permutation, gate_unitary
+
+from conftest import digit_tuples
 
 
 def two_qubit_payload(**overrides):
@@ -79,6 +84,20 @@ def test_cnot_respects_listed_target_order(lat22):
         for y in (0, 1):
             expected[2 * (x ^ y) + y, 2 * x + y] = 1.0
     assert max_abs(unitary.matrix - expected) < 1e-12
+
+
+def test_listed_order_permutation_matches_digit_oracle():
+    lattice = SystemLattice.from_dims([2, 3, 2, 3])
+    cases = [t for r in range(1, 5) for t in itertools.permutations(range(4), r)]
+    assert len(cases) == 64
+    for targets in cases:
+        system = lattice.system(targets)
+        listed = list(itertools.product(*(range(lattice.dims[t]) for t in targets)))
+        expected = []
+        for digits in digit_tuples(system):  # canonical order: ascending atom ids
+            by_atom = dict(zip(system.atom_ids, digits))
+            expected.append(listed.index(tuple(by_atom[t] for t in targets)))
+        assert _listed_order_permutation(system, targets).tolist() == expected, targets
 
 
 def test_named_gate_needs_qubit_targets():

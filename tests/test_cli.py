@@ -177,6 +177,9 @@ NON_PSD = matrix_to_json(np.diag([1.5, -0.5, 0.0, 0.0]))
                     "targets": [1]}], "malformed matrix payload"),
         ("gates", [{"matrix": [[[0, 0], [10**400, 0]], [[1, 0], [0, 0]]], "targets": [1]}],
          "malformed matrix payload"),
+        # Unicode digits pass str.isdigit(): "²" then fails int(), "١" reads as 1.
+        ("initial_state", "pure:|0²>", "need one digit per atom"),
+        ("initial_state", "pure:|0١>", "need one digit per atom"),
     ],
 )
 def test_malformed_circuit_files_are_input_errors(capsys, tmp_path, field, value, reason):

@@ -374,7 +374,7 @@ def test_basis_round_trip(lat22, rng):
 def test_basis_change_rejects_non_orthonormal(lat22, rng):
     n = from_global_unitary(global_haar(lat22, rng), lat22.atom(0))
     with pytest.raises(NotOrthonormal):
-        change_of_basis(n, np.eye(2), np.ones((2, 2)))
+        change_of_basis(n, np.eye(2), np.ones((2, 2)), "target")
 
 
 def test_basis_change_checks_declared_source_basis(lat22, rng):
