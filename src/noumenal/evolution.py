@@ -123,10 +123,10 @@ class EvolutionMatrix(OperatorMatrix):
         return cls(system, entries, basis_tag, validate=False)
 
     @classmethod
-    def from_json(cls, lattice, payload: dict, validate: bool = True) -> "EvolutionMatrix":
+    def from_json(cls, lattice, payload: dict) -> "EvolutionMatrix":
         system = lattice.system(payload["system"])
         entries = matrix_from_json(payload["entries"], rank=4)
-        return cls(system, entries, payload.get("basis_tag", CANONICAL), validate=validate)
+        return cls(system, entries, payload.get("basis_tag", CANONICAL))
 
 
 @dataclass(frozen=True)
@@ -259,12 +259,14 @@ def noumenal_partial_trace(n: OperatorMatrix, traced: System) -> EvolutionMatrix
         raise BasisMismatch("partial traces are defined on canonical-basis grids")
     keep = n.system.difference(traced)
     perm = index_map(keep, traced)
-    big_d = n.global_dim
-    out = np.zeros((*n.entries.shape[:-4], keep.dim, keep.dim, big_d, big_d), dtype=np.complex128)
-    for k in range(traced.dim):
-        rows = perm[:, k]
-        out += n.entries[..., rows[:, None], rows, :, :]
-    return EvolutionMatrix._trusted(keep, out, CANONICAL)
+    *batch, d, _, big_d, _ = n.entries.shape
+    flat = n.entries.reshape(*batch, d * d, big_d, big_d)
+    rows = (perm[:, None] * d + perm).reshape(-1, traced.dim).T  # rows[k]: entries ((i,k), (j,k)) of flat grid axes
+    out = flat.take(rows[0], axis=-3)
+    out += 0.0  # -0.0 becomes +0.0, as in a sum that starts from zero
+    for term_rows in rows[1:]:
+        out += flat.take(term_rows, axis=-3)
+    return EvolutionMatrix._trusted(keep, out.reshape(*batch, keep.dim, keep.dim, big_d, big_d), CANONICAL)
 
 
 def noumenal_product(na: OperatorMatrix, nb: OperatorMatrix, check: bool = True) -> EvolutionMatrix:
@@ -336,7 +338,7 @@ def change_of_basis(n: OperatorMatrix, b_from: np.ndarray, b_to: np.ndarray, to_
     for name, basis in (("source", b_from), ("target", b_to)):
         if basis.shape[-2:] != (d, d):
             raise DimensionMismatch(f"{name} basis is {basis.shape}, expected {(d, d)}")
-        if not is_unitary(basis, TOL_UNITARY):
+        if not is_unitary(basis):
             raise NotOrthonormal(f"{name} basis columns are not orthonormal")
     if n.basis_tag == CANONICAL and max_abs(b_from - np.eye(d)) > TOL_UNITARY:
         raise BasisMismatch("grid is canonical-basis but the source basis is not the identity")

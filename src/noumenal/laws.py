@@ -16,8 +16,8 @@ least the three grid-consistency laws fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
-from typing import Callable
+from functools import cache, partial, reduce
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -95,11 +95,16 @@ def _subsystem_in_global(lattice: SystemLattice, rng: np.random.Generator) -> tu
     return *_subsystem(lattice, rng), lattice.global_system
 
 
-def _labelled_masks(lattice: SystemLattice, rng: np.random.Generator, labels: int, parts: int) -> list[int]:
+@cache
+def _mask_table(n_atoms: int, labels: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """Per code with one base-``labels`` digit per atom, the masks of digits ``0..parts-1``."""
+    digits = np.arange(labels**n_atoms)[:, None, None] // labels ** np.arange(n_atoms) % labels
+    return tuple(map(tuple, ((digits == np.arange(parts)[:, None]) << np.arange(n_atoms)).sum(-1).tolist()))
+
+
+def _labelled_masks(lattice: SystemLattice, rng: np.random.Generator, labels: int, parts: int) -> tuple[int, ...]:
     """Draw one of ``labels`` labels per atom; the masks of labels ``0..parts-1``."""
-    n = lattice.n_atoms
-    code = int(rng.integers(labels**n))  # one base-``labels`` digit per atom
-    return [sum(1 << i for i in range(n) if code // labels**i % labels == part) for part in range(parts)]
+    return _mask_table(lattice.n_atoms, labels, parts)[int(rng.integers(labels**lattice.n_atoms))]
 
 
 def _disjoint_pair(lattice: SystemLattice, rng: np.random.Generator) -> tuple[System, System]:
@@ -507,11 +512,42 @@ def _jsonify_value(value):
     return value
 
 
-def _start(lattice: SystemLattice, law: Law, law_index: int, seed: int, trial: int) -> tuple:
-    """``(trial, rng, systems)``: the trial's own generator, child ``(law_index,
-    trial)`` of ``SeedSequence(seed)``, and the systems it draws first."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(law_index, trial)))
-    return trial, rng, law.systems(lattice, rng)
+class _TrialSeed:
+    """A trial's PCG64 seed words, with the ``spawn_key`` of the ``SeedSequence`` they come from.  :func:`_start`
+    registers it as the ``ISeedSequence`` that ``PCG64`` takes, so that importing does not load numpy.random."""
+
+    def __init__(self, words: np.ndarray, spawn_key: tuple[int, int]):
+        self.words, self.spawn_key = words, spawn_key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:  # PCG64 asks for 4 uint64 words
+        return self.words
+
+
+def _start(lattice: SystemLattice, law: Law, law_index: int, seed: int, trials: Sequence[int]) -> list[tuple]:
+    """``(trial, rng, systems)`` per trial: ``default_rng(SeedSequence(seed, spawn_key=(law_index, trial)))``
+    and the systems it draws first.  A trial's entropy words extend those of ``spawn_key=(law_index,)``, so
+    that sequence's pool and hash constant carry on through the mixing and ``generate_state``, a lane per trial."""
+    np.random.bit_generator.ISeedSequence.register(_TrialSeed)  # a no-op once registered
+    parent = np.random.SeedSequence(seed, spawn_key=(law_index,))
+    words = max(4, -(-seed.bit_length() // 32)) + 1  # parent's: the seed's, zero-padded to 4, and law_index's one
+    const = 0x43B0D7E5 * pow(0x931E8875, 4 * words, 1 << 32) & 0xFFFFFFFF  # after four hashes per word
+
+    def hashed(value, mult=0x931E8875):  # each call advances the hash constant
+        nonlocal const
+        value = (value ^ const) * (const := const * mult & 0xFFFFFFFF) & 0xFFFFFFFF
+        return value ^ value >> 16
+
+    pool = parent.pool.tolist()
+    tails = [[k >> shift & 0xFFFFFFFF for shift in range(0, max(k.bit_length(), 1), 32)] for k in trials]
+    for i in range(max(map(len, tails))):  # a trial with fewer words keeps its pool
+        lane, has = np.array([(tail[i], 1) if i < len(tail) else (0, 0) for tail in tails], dtype=np.uint32).T
+        for dst, p in enumerate(pool):
+            mixed = (0xCA01F9DD * p & 0xFFFFFFFF) - 0x4973F715 * hashed(lane) & 0xFFFFFFFF
+            pool[dst] = np.where(has, mixed ^ mixed >> 16, p)
+    const = 0x8B51F9DD
+    state = np.stack([hashed(pool[i % 4], 0x58F38DED) for i in range(8)], -1).astype("<u4").view("<u8")
+    rngs = [np.random.Generator(np.random.PCG64(_TrialSeed(row, (law_index, k)))) for row, k in zip(state, trials)]
+    return [(k, rng, law.systems(lattice, rng)) for k, rng in zip(trials, rngs)]
 
 
 def _rank(found: tuple) -> tuple:  # worst residual first, then lowest trial
@@ -529,7 +565,7 @@ def _worst_of_batch(lattice, law, law_index, seed, batch, inject_bug) -> tuple:
     except NoumenalError as exc:
         if len(batch) == 1:
             return float("inf"), batch[0][0], {"error": f"{type(exc).__name__}: {exc}"}
-        alone = [[_start(lattice, law, law_index, seed, k)] for k, _, _ in batch]
+        alone = [_start(lattice, law, law_index, seed, [k]) for k, _, _ in batch]
         return max((_worst_of_batch(lattice, law, law_index, seed, b, inject_bug) for b in alone), key=_rank)
     residuals = np.broadcast_to(np.asarray(residuals, dtype=float), (len(batch),))
     residuals = np.where(np.isnan(residuals), np.inf, residuals)
@@ -578,8 +614,7 @@ def run_law_suite(
         worst = (-1.0, 0, {})
         for start in range(0, len(indices), TRIAL_CHUNK):
             groups: dict[tuple, list] = {}
-            for k in indices[start : start + TRIAL_CHUNK]:
-                started = _start(lattice, law, law_index, seed, k)
+            for started in _start(lattice, law, law_index, seed, indices[start : start + TRIAL_CHUNK]):
                 groups.setdefault(started[2], []).append(started)
             for systems, members in groups.items():
                 union = reduce(System.union, systems, lattice.empty_system)

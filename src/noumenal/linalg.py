@@ -58,23 +58,23 @@ def dagger(matrix: np.ndarray) -> np.ndarray:
     return np.swapaxes(matrix.conj(), -1, -2)
 
 
-def as_complex_matrix(data, rows: int | None = None, cols: int | None = None, copy: bool | None = None) -> np.ndarray:
-    """A C-contiguous complex matrix, or stack of matrices, of ``rows x cols``
+def as_complex_matrix(data, rows: int | None = None, copy: bool | None = None) -> np.ndarray:
+    """A C-contiguous complex matrix, or stack of matrices, of ``rows x rows``
     when given: ``data`` itself when it already is one, unless ``copy``."""
     arr = np.array(data, dtype=np.complex128, order="C", copy=copy)
     if arr.ndim < 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={arr.ndim}")
-    if rows is not None and arr.shape[-2:] != (rows, cols if cols is not None else rows):
-        raise DimensionMismatch(f"expected shape {(rows, cols or rows)}, got {arr.shape}")
+    if rows is not None and arr.shape[-2:] != (rows, rows):
+        raise DimensionMismatch(f"expected shape {(rows, rows)}, got {arr.shape}")
     return arr
 
 
-def is_unitary(matrix: np.ndarray, tol: float = TOL_UNITARY) -> bool:
-    """Whether ``matrix``, or every matrix of a stack, is unitary within ``tol``."""
+def is_unitary(matrix: np.ndarray) -> bool:
+    """Whether ``matrix``, or every matrix of a stack, is unitary within :data:`TOL_UNITARY`."""
     matrix = np.asarray(matrix)
     if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2] or not np.isfinite(matrix).all():
         return False
-    return max_abs(dagger(matrix) @ matrix - np.eye(matrix.shape[-1])) <= tol
+    return max_abs(dagger(matrix) @ matrix - np.eye(matrix.shape[-1])) <= TOL_UNITARY
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +178,13 @@ class DensityOperator:
     def purity(self) -> float | np.ndarray:
         return np.trace(self.matrix @ self.matrix, axis1=-2, axis2=-1).real
 
-    def is_pure(self, tol: float = TOL_EQ) -> bool:
-        """Whether the state, or every state of a stack, is pure within ``tol``."""
-        return bool(np.all(abs(self.purity() - 1.0) <= tol))
+    def is_pure(self) -> bool:
+        """Whether the state, or every state of a stack, is pure within :data:`TOL_EQ`."""
+        return bool(np.all(abs(self.purity() - 1.0) <= TOL_EQ))
 
-    def validate_psd(self, tol: float = TOL_PSD) -> None:
+    def validate_psd(self) -> None:
         eigenvalues = np.linalg.eigvalsh(self.matrix)
-        if eigenvalues.min() < -tol:
+        if eigenvalues.min() < -TOL_PSD:
             raise ValidationError(f"density matrix has eigenvalue {eigenvalues.min():.3g} < -TOL_PSD")
 
 
@@ -293,11 +293,13 @@ def draw_each(rng: Rng, draw: Callable[[np.random.Generator], np.ndarray]) -> np
     """``draw(rng)``; for a sequence of generators, the stack of ``draw(g)``."""
     if isinstance(rng, np.random.Generator):
         return draw(rng)
-    return np.stack([draw(g) for g in rng])
+    return np.array([draw(g) for g in rng])
 
 
-def _ginibre(rng: Rng, rows: int, cols: int) -> np.ndarray:
-    return draw_each(rng, lambda g: g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols)))
+def _ginibre(rng: Rng, *shape: int) -> np.ndarray:
+    """``standard_normal(shape) + 1j * standard_normal(shape)`` per generator, from one draw of both parts."""
+    re, im = draw_each(rng, lambda g: g.standard_normal((2, *shape))).swapaxes(0, -1 - len(shape))
+    return re + 1j * im
 
 
 def haar_random_unitary(dim: int, rng: Rng) -> np.ndarray:
@@ -317,7 +319,7 @@ def haar_unitary(system: System, rng: Rng) -> UnitaryOperator:
 
 def random_pure_state(dim: int, rng: Rng) -> np.ndarray:
     """A Haar-random unit vector."""
-    vec = draw_each(rng, lambda g: g.standard_normal(dim) + 1j * g.standard_normal(dim))
+    vec = _ginibre(rng, dim)
     return vec / np.linalg.norm(vec, axis=-1, keepdims=True)
 
 

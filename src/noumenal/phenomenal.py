@@ -84,13 +84,11 @@ def basis_state_vector(system: System, digits) -> np.ndarray:
     digits = tuple(digits)
     if len(digits) != len(dims):
         raise DimensionMismatch(f"need {len(dims)} digits for {system}, got {len(digits)}")
-    index = 0
     for digit, dim in zip(digits, dims):
         if not 0 <= digit < dim:
             raise ValidationError(f"digit {digit} out of range for atom of dim {dim}")
-        index = index * dim + digit
     vec = np.zeros(system.dim, dtype=np.complex128)
-    vec[index] = 1.0
+    vec[np.ravel_multi_index(digits, dims)] = 1.0
     return vec
 
 

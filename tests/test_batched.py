@@ -43,7 +43,7 @@ from noumenal import (
     unitary_mapping,
 )
 from noumenal.evolution import _conjugate
-from noumenal.linalg import is_unitary
+from noumenal.linalg import _ginibre, dagger, draw_each, is_unitary
 from noumenal.phenomenal import (
     complete_orthonormal,
     homomorphism_residual,
@@ -71,6 +71,27 @@ def same(batched, singles, exact: bool = True) -> None:
 def test_samplers_draw_each_trial_from_its_own_generator(size):
     for sample in (haar_random_unitary, random_pure_state, random_density_matrix):
         same(sample(4, rngs(size)), [sample(4, rng) for rng in rngs(size)])
+
+
+def two_call_ginibre(rng, *shape: int) -> np.ndarray:
+    """The reference draw: real parts, then imaginary parts, one call each."""
+    return draw_each(rng, lambda g: g.standard_normal(shape) + 1j * g.standard_normal(shape))
+
+
+def test_samplers_equal_their_two_call_form_bitwise():
+    def bitwise(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for fresh in (lambda: np.random.default_rng(5), lambda: rngs(6)):
+        bitwise(_ginibre(fresh(), 3, 4), two_call_ginibre(fresh(), 3, 4))
+        q, r = np.linalg.qr(two_call_ginibre(fresh(), 4, 4))
+        phases = np.diagonal(r, axis1=-2, axis2=-1)
+        bitwise(haar_random_unitary(4, fresh()), q * (phases / np.abs(phases))[..., None, :])
+        vec = two_call_ginibre(fresh(), 4)
+        bitwise(random_pure_state(4, fresh()), vec / np.linalg.norm(vec, axis=-1, keepdims=True))
+        g = two_call_ginibre(fresh(), 4, 4)
+        rho = g @ dagger(g)
+        bitwise(random_density_matrix(4, fresh()), rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def test_batched_haar_draw_equals_per_trial_draws_bitwise():

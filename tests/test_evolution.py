@@ -30,6 +30,8 @@ from noumenal import (
     noumenal_partial_trace,
     noumenal_product,
 )
+from noumenal.linalg import index_map
+
 from conftest import (
     conjugation_oracle,
     evolution_oracle,
@@ -189,6 +191,22 @@ def test_trace_of_identity_evolution(lat22):
         noumenal_partial_trace(identity_evolution(ab), lat22.atom(1)),
         identity_evolution(lat22.atom(0)),
     )
+
+
+def test_trace_is_the_sum_from_zero_bitwise(lat222, rng):
+    """Each entry is ``0.0 + term_0 + term_1 + ...``, so a sum of ``-0.0`` terms reads ``+0.0``."""
+    w = UnitaryOperator(np.stack([global_haar(lat222, rng).matrix for _ in range(3)]), lat222.global_system)
+    entries = from_global_unitary(w, lat222.global_system).entries.copy()
+    entries.real[..., ::3, :] = -0.0
+    entries.imag[..., ::2] = -0.0
+    joint = OperatorMatrix(lat222.global_system, entries)
+    for traced in (lat222.empty_system, lat222.atom(1), lat222.system((0, 2)), lat222.global_system):
+        keep = joint.system.difference(traced)
+        perm = index_map(keep, traced)
+        expected = np.zeros((3, keep.dim, keep.dim, 8, 8), dtype=np.complex128)
+        for k in range(traced.dim):
+            expected += entries[..., perm[:, k, None], perm[:, k], :, :]
+        assert noumenal_partial_trace(joint, traced).entries.tobytes() == expected.tobytes(), traced
 
 
 def test_trace_everything_gives_empty_grid(lat22, rng):

@@ -3,7 +3,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
 
@@ -156,6 +159,41 @@ def test_batched_residuals_equal_replays(monkeypatch, lat222):
         [replay] = run_law_suite(lat222, 8, 3, law_id=law_id, trial=trial)
         assert replay.trials == 1 and replay.passed
         assert replay.max_residual == residual, (law_id, trial)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32 + 1, 2**128 - 1])
+def test_chunk_generators_are_the_per_trial_seed_sequences(lat222, seed):
+    """A chunk's generators, seeded together, are bit for bit the ``SeedSequence`` children."""
+    trials = [0, 255, 256, 2**32 + 1]  # one- and two-word trials in one chunk
+    for law_index in (0, 9, 17):  # the systems of a subsystem, a three-way split and a disjoint pair
+        law = LAWS[law_index]
+        for chunk in (trials, trials[-1:]):
+            started = laws._start(lat222, law, law_index, seed, chunk)
+            assert [k for k, _, _ in started] == chunk
+            for k, rng, systems in started:
+                reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(law_index, k)))
+                assert systems == law.systems(lat222, reference)
+                assert rng.bit_generator.state == reference.bit_generator.state
+                assert trial_of(rng) == k
+
+
+def test_importing_the_package_does_not_load_numpy_random():
+    """The seeding registers its seed type on first use, so ``simulate`` never loads numpy.random."""
+    code = "import sys, noumenal.cli; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_cli_replay_from_a_second_chunk_with_a_two_word_seed(monkeypatch, lat22):
+    seed, trial = 2**32 + 1, 299
+    assert trial >= laws.TRIAL_CHUNK
+    seen = batched_residuals(monkeypatch, lat22, 300, seed, law_id="no_signalling")
+    argv = ["verify", "--atoms", "2x2", "--trials", "300", "--seed", str(seed), "--law", "no_signalling"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--trial", str(trial), "--format", "json"]) == 0
+    [law] = json.loads(out.getvalue())["laws"]
+    assert law["trials"] == 1 and law["max_residual"] == seen["no_signalling", trial]
 
 
 def inputs(report: LawReport) -> str:

@@ -5,6 +5,7 @@ from noumenal import (
     GATES,
     BasisMismatch,
     DensityOperator,
+    DimensionMismatch,
     System,
     SystemMismatch,
     UnitaryOperator,
@@ -31,9 +32,26 @@ from noumenal import (
     trace_commutation_residual,
     unitary_mapping,
 )
+from noumenal.linalg import index_map
 from noumenal.phenomenal import phi_matrix
 
 TOL = 1e-9
+
+
+def test_basis_state_vector_follows_index_map(lat232):
+    """|digits> sits where index_map puts the product of its one-atom basis states."""
+    for system in (lat232.global_system, System(lat232, 0b110)):
+        atoms = [lat232.atom(i) for i in system.atom_ids]
+        for digits in np.ndindex(*system.atom_dims):
+            prefix, index = lat232.empty_system, 0
+            for atom, digit in zip(atoms, digits):
+                index = index_map(prefix, atom)[index, digit]
+                prefix = prefix.union(atom)
+            assert np.array_equal(basis_state_vector(system, digits), np.eye(system.dim)[index])
+    with pytest.raises(DimensionMismatch, match="need 3 digits"):
+        basis_state_vector(lat232.global_system, (0, 1))
+    with pytest.raises(ValidationError, match="digit 3 out of range for atom of dim 3"):
+        basis_state_vector(lat232.global_system, (0, 3, 0))
 
 
 def bell_vector(lattice, parity):
