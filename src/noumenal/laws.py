@@ -538,13 +538,13 @@ def _start(lattice: SystemLattice, law: Law, law_index: int, seed: int, trials: 
         return value ^ value >> 16
 
     pool = parent.pool.tolist()
-    tails = [[k >> shift & 0xFFFFFFFF for shift in range(0, max(k.bit_length(), 1), 32)] for k in trials]
+    tails = [[k >> shift & 0xFFFFFFFF for shift in range(0, max(k.bit_length(), 1), 32)] for k in trials]  # low first
     for i in range(max(map(len, tails))):  # a trial with fewer words keeps its pool
         lane, has = np.array([(tail[i], 1) if i < len(tail) else (0, 0) for tail in tails], dtype=np.uint32).T
         for dst, p in enumerate(pool):
             mixed = (0xCA01F9DD * p & 0xFFFFFFFF) - 0x4973F715 * hashed(lane) & 0xFFFFFFFF
             pool[dst] = np.where(has, mixed ^ mixed >> 16, p)
-    const = 0x8B51F9DD
+    const = 0x8B51F9DD  # generate_state: eight uint32 words from the pool, read as four little-endian uint64
     state = np.stack([hashed(pool[i % 4], 0x58F38DED) for i in range(8)], -1).astype("<u4").view("<u8")
     rngs = [np.random.Generator(np.random.PCG64(_TrialSeed(row, (law_index, k)))) for row, k in zip(state, trials)]
     return [(k, rng, law.systems(lattice, rng)) for k, rng in zip(trials, rngs)]
