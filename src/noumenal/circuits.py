@@ -46,9 +46,6 @@ from .linalg import (
 from .evolution import from_global_unitary
 from .phenomenal import basis_state_vector, phi, pure_density
 
-ONE_QUBIT_GATES = ("I", "X", "Y", "Z", "H", "S", "T")
-
-
 @dataclass
 class GateApplication:
     """One gate: an optional name, its matrix in listed-target order."""
@@ -97,7 +94,10 @@ def _parse_atoms(payload) -> SystemLattice:
     for entry in payload:
         if not isinstance(entry, dict) or not all(type(entry.get(key)) is int for key in ("id", "dim")):
             raise ParseError(f"atom entry must be an object with integer 'id' and 'dim', got {entry!r}")
-        atoms.append(AtomSpec(entry["id"], entry["dim"], entry.get("label")))
+        label = entry.get("label")  # null reads as absent, as simulate writes an unlabelled atom
+        if label is not None and not isinstance(label, str):
+            raise ParseError(f"atom 'label' must be a string, got {label!r}")
+        atoms.append(AtomSpec(entry["id"], entry["dim"], label))
     return SystemLattice(sorted(atoms, key=lambda a: a.atom_id))
 
 
@@ -145,7 +145,7 @@ def _parse_gates(payload, lattice: SystemLattice) -> list[GateApplication]:
             name = str(entry["name"])
             if name not in GATES:
                 raise ParseError(f"unknown gate {name!r}; known: {sorted(GATES)}")
-            arity = 1 if name in ONE_QUBIT_GATES else 2
+            arity = len(GATES[name]).bit_length() - 1  # a 2^k x 2^k matrix takes k qubits
             if len(targets) != arity:
                 raise ParseError(f"gate {name} takes {arity} target(s), got {targets}")
             for t in targets:

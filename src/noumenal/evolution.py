@@ -99,28 +99,21 @@ class EvolutionMatrix(OperatorMatrix):
     """An operator grid satisfying the evolution-matrix consistency laws.
 
     Constructing one directly runs :func:`consistency_check`; the functions
-    in this module that produce grids guaranteed valid by construction skip
-    the check internally.
+    that produce grids guaranteed valid by construction build them through
+    :meth:`_trusted`, which skips it.
     """
 
-    def __init__(
-        self,
-        system: System,
-        entries: np.ndarray,
-        basis_tag: str = CANONICAL,
-        validate: bool = True,
-    ):
+    def __init__(self, system: System, entries: np.ndarray, basis_tag: str = CANONICAL):
         super().__init__(system, entries, basis_tag)
-        if validate:
-            report = consistency_check(self)
-            if not report.ok:
-                raise CompatibilityViolation(
-                    f"grid fails the evolution-matrix laws: {report.residuals()}"
-                )
+        report = consistency_check(self)
+        if not report.ok:
+            raise CompatibilityViolation(f"grid fails the evolution-matrix laws: {report.residuals()}")
 
     @classmethod
     def _trusted(cls, system: System, entries: np.ndarray, basis_tag: str) -> "EvolutionMatrix":
-        return cls(system, entries, basis_tag, validate=False)
+        trusted = cls.__new__(cls)
+        OperatorMatrix.__init__(trusted, system, entries, basis_tag)
+        return trusted
 
     @classmethod
     def from_json(cls, lattice, payload: dict) -> "EvolutionMatrix":
@@ -137,13 +130,12 @@ class ConsistencyReport:
     pairing_residual: float | np.ndarray
     product_residual: float | np.ndarray
     trace_residual: float | np.ndarray
-    tolerance: float
 
     @property
     def ok(self) -> bool:
-        """Whether every grid passes all three laws."""
+        """Whether every grid passes all three laws within ``TOL_EQ``."""
         worst = np.maximum(np.maximum(self.pairing_residual, self.product_residual), self.trace_residual)
-        return bool(np.all(worst <= self.tolerance))
+        return bool(np.all(worst <= TOL_EQ))
 
     def residuals(self) -> dict:
         return {
@@ -184,9 +176,9 @@ def trace_residual(m: OperatorMatrix) -> float | np.ndarray:
     return max_abs(np.einsum("...iipq->...pq", m.entries) - np.eye(m.global_dim), 2)
 
 
-def consistency_check(m: OperatorMatrix, tol: float = TOL_EQ) -> ConsistencyReport:
+def consistency_check(m: OperatorMatrix) -> ConsistencyReport:
     """Test a grid against the three evolution-matrix laws, exactly."""
-    return ConsistencyReport(pairing_residual(m), product_residual(m), trace_residual(m), tol)
+    return ConsistencyReport(pairing_residual(m), product_residual(m), trace_residual(m))
 
 
 # ---------------------------------------------------------------------------

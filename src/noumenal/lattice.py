@@ -7,11 +7,11 @@ order also fixes the canonical basis layout of every composite system: the
 C-order flattening of a tensor with one axis per member atom, in ascending
 ``atom_id`` order, so the first atom is the most significant digit.
 
-A lattice never changes and compares by identity, so it owns the memo tables
-of the index bookkeeping built on it: each system's layout (member atom ids,
-their dims and the product dimension), filled lazily by mask here, and the
-index maps of :func:`noumenal.linalg.index_map`, filled there.  No entry ever
-needs invalidating, and two lattices never share one.
+A lattice never changes and compares by identity, so it owns what is built
+on it: one :class:`System` per atom mask, made on first use with its layout
+(member atom ids, their dims and the product dimension) set once, and the
+index maps of :func:`noumenal.linalg.index_map`.  No entry ever needs
+invalidating, and two lattices never share one.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class SystemLattice:
         self._atoms = atoms
         self._dims = dims
         self._global_dim = total
-        self._layouts: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        self._systems: dict[int, System] = {}
         #: ``linalg.index_map`` results, keyed by ``(a_sys.mask, b_sys.mask)``.
         self.index_maps: dict = {}
 
@@ -112,15 +112,6 @@ class SystemLattice:
     def global_dim(self) -> int:
         return self._global_dim
 
-    def _layout(self, mask: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """``(atom_ids, atom_dims, dim)`` of the system with this atom mask."""
-        layout = self._layouts.get(mask)
-        if layout is None:
-            ids = tuple(i for i in range(len(self._atoms)) if mask >> i & 1)
-            dims = tuple(self._dims[i] for i in ids)
-            layout = self._layouts[mask] = (ids, dims, math.prod(dims))
-        return layout
-
     def system(self, atom_ids: Iterable[int]) -> "System":
         """The system spanning the given atoms."""
         mask = 0
@@ -145,17 +136,40 @@ class SystemLattice:
         return f"SystemLattice(dims={self.dims})"
 
 
-@dataclass(frozen=True)
 class System:
-    """A subset of lattice atoms, closed under the boolean operations."""
+    """A subset of lattice atoms, closed under the boolean operations.
 
+    ``System(lattice, mask)`` returns the lattice's one instance for that
+    mask, built on first use, so systems compare and hash by identity.  Its
+    fields never change: the member ``atom_ids`` (ascending), their
+    ``atom_dims`` and the Hilbert-space ``dim``, their product (1 if empty).
+    """
+
+    __slots__ = ("lattice", "mask", "atom_ids", "atom_dims", "dim")
     lattice: SystemLattice
     mask: int
+    atom_ids: tuple[int, ...]
+    atom_dims: tuple[int, ...]
+    dim: int
 
-    def __post_init__(self) -> None:
-        full = (1 << self.lattice.n_atoms) - 1
-        if not 0 <= self.mask <= full:
-            raise ValidationError(f"atom mask {self.mask:#x} outside the lattice")
+    def __new__(cls, lattice: SystemLattice, mask: int) -> "System":
+        system = lattice._systems.get(mask)
+        if system is None:
+            if not 0 <= mask < 1 << lattice.n_atoms:
+                raise ValidationError(f"atom mask {mask:#x} outside the lattice")
+            ids = tuple(i for i in range(lattice.n_atoms) if mask >> i & 1)
+            dims = tuple(lattice.dims[i] for i in ids)
+            system = object.__new__(cls)
+            for name, value in zip(cls.__slots__, (lattice, mask, ids, dims, math.prod(dims))):
+                object.__setattr__(system, name, value)
+            system = lattice._systems.setdefault(mask, system)
+        return system
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"System is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"System is immutable; cannot delete {name!r}")
 
     # -- set algebra ----------------------------------------------------
 
@@ -197,20 +211,6 @@ class System:
     @property
     def is_global(self) -> bool:
         return self.mask == (1 << self.lattice.n_atoms) - 1
-
-    @property
-    def atom_ids(self) -> tuple[int, ...]:
-        return self.lattice._layout(self.mask)[0]
-
-    @property
-    def atom_dims(self) -> tuple[int, ...]:
-        """Dimensions of the member atoms in ascending atom order."""
-        return self.lattice._layout(self.mask)[1]
-
-    @property
-    def dim(self) -> int:
-        """Hilbert-space dimension: product of member atom dims (1 if empty)."""
-        return self.lattice._layout(self.mask)[2]
 
     def atomic_decomposition(self) -> tuple["System", ...]:
         """The unique set of atomic systems whose union is this system."""

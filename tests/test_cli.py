@@ -180,6 +180,9 @@ NON_PSD = matrix_to_json(np.diag([1.5, -0.5, 0.0, 0.0]))
         # Unicode digits pass str.isdigit(): "²" then fails int(), "١" reads as 1.
         ("initial_state", "pure:|0²>", "need one digit per atom"),
         ("initial_state", "pure:|0١>", "need one digit per atom"),
+        # A label passes into the output as is: a bare NaN there is not JSON.
+        ("atoms", [{"id": 0, "dim": 2, "label": float("nan")}, {"id": 1, "dim": 2}], "'label' must be a string"),
+        ("atoms", [{"id": 0, "dim": 2, "label": 5}, {"id": 1, "dim": 2}], "'label' must be a string"),
     ],
 )
 def test_malformed_circuit_files_are_input_errors(capsys, tmp_path, field, value, reason):

@@ -137,3 +137,33 @@ def test_operator_shorthands(lat222):
     assert (a & b) == lat222.system((1,))
     assert ~a == lat222.system((2,))
     assert lat222.system((1,)) <= a
+
+
+def test_one_system_per_mask(lat222):
+    a = System(lat222, 0b011)
+    assert a is lat222.system((0, 1))
+    assert lat222.atom(0).union(lat222.atom(1)) is a
+    assert a.complement().complement() is a
+    assert System(lat222, 0b111) is lat222.global_system is lat222.global_system
+
+
+def test_system_is_immutable(lat222):
+    a = lat222.system((0, 2))
+    for name in ("lattice", "mask", "atom_ids", "atom_dims", "dim", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    assert (a.mask, a.atom_ids, a.atom_dims, a.dim) == (0b101, (0, 2), (2, 2), 4)
+
+
+def test_lattices_with_equal_dims_share_no_system():
+    first, second = SystemLattice.from_dims([2, 3]), SystemLattice.from_dims([2, 3])
+    for mask in range(4):
+        assert System(first, mask) is System(first, mask)
+        assert System(first, mask) != System(second, mask)
+        assert System(second, mask).lattice is second
+
+
+@pytest.mark.parametrize("mask", [-1, 0b1000])
+def test_mask_outside_lattice_is_rejected(lat222, mask):
+    with pytest.raises(ValidationError, match="outside the lattice"):
+        System(lat222, mask)

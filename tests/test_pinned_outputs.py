@@ -1,0 +1,34 @@
+"""The ``--format json`` stdout of six fixed commands, pinned by hash.
+
+Each command runs in-process through ``cli.main``, from the repository
+root; the test compares the first 16 hex digits of the SHA-256 of its
+stdout.  A change that moves one of these hashes on purpose updates it here
+and says in CHANGES.md why the output moved.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from noumenal.cli import main
+
+PINNED = {
+    "verify --atoms 2x2x2 --trials 20 --seed 3": "147e41f830e2ab36",
+    "verify --atoms 2x2 --trials 5 --self-test-bug": "87466aab6ad50215",
+    "verify --atoms 2x2x2 --trials 100 --seed 0": "075351bdc0b9e323",
+    "simulate --file perfbench/inputs/simulate-7q-seed0.json": "a26e52e4d14e731a",
+    "demo bell-incompleteness": "2a5d098cb0597639",
+    "demo no-signalling --atoms 2x2x2x2x2 --trials 1": "8ee8e933c4366c21",
+}
+
+
+@pytest.mark.parametrize("command", PINNED)
+def test_json_stdout_hash_is_pinned(monkeypatch, command):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main([*command.split(), "--format", "json"])
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == PINNED[command]
