@@ -6,7 +6,10 @@ sides of its equation, and reports the worst elementwise residual.  Trial
 ``k`` of law ``i`` draws from its own generator, seeded by ``(seed, i, k)``,
 so its inputs do not depend on ``trials`` and ``run_law_suite`` can replay
 it alone.  Trials that drew the same systems are evaluated together, as one
-batch of stacked inputs; a trial's residual is the same in any batch.
+batch of stacked inputs; a trial's residual is the same in any batch.  A law
+draws its operators and states through :class:`_TrialContext`, which records
+each draw under its name, and returns only residuals; a failing law's
+counterexample holds its worst trial's systems and every named draw.
 
 ``inject_bug=True`` perturbs one entry of every grid built from a global
 operation by ``1e-3``; this is a self-test of the harness and must make at
@@ -90,9 +93,10 @@ def _subsystem(lattice: SystemLattice, rng: np.random.Generator, low: int = 1) -
     return (System(lattice, int(rng.integers(low, 1 << lattice.n_atoms))),)
 
 
-def _subsystem_in_global(lattice: SystemLattice, rng: np.random.Generator) -> tuple[System, System]:
-    """A non-empty system, and the global system that the batch cap must count."""
-    return *_subsystem(lattice, rng), lattice.global_system
+def _complement_pair(lattice: SystemLattice, rng: np.random.Generator) -> tuple[System, System]:
+    """A non-empty system and its complement."""
+    (a,) = _subsystem(lattice, rng)
+    return a, a.complement()
 
 
 @cache
@@ -133,23 +137,39 @@ def _projector(vec: np.ndarray) -> np.ndarray:
 class _TrialContext:
     """Random inputs for a batch of trials, ``rngs`` holding one generator per
     trial.  Every draw takes one sample from each generator, in the order a
-    lone trial would draw it, and stacks them on a leading batch axis."""
+    lone trial would draw it, and stacks them on a leading batch axis.
+    ``drawn`` records each draw's stacked matrix under its name: ``w`` for the
+    global operation, ``rho`` for a state, ``target`` for a surjectivity
+    target, and the name a law gives a local operation or basis."""
 
     def __init__(self, lattice: SystemLattice, rngs: list, inject_bug: bool):
         self.lattice = lattice
         self.rngs = rngs
         self.inject_bug = inject_bug
+        self.drawn: dict[str, np.ndarray] = {}
+
+    def _record(self, name: str, draw):
+        self.drawn[name] = getattr(draw, "matrix", draw)
+        return draw
 
     def haar_global(self) -> UnitaryOperator:
-        return haar_unitary(self.lattice.global_system, self.rngs)
+        return self.haar_on("w", self.lattice.global_system)
 
-    def haar_on(self, system: System) -> UnitaryOperator:
-        return haar_unitary(system, self.rngs)
+    def haar_on(self, name: str, system: System) -> UnitaryOperator:
+        return self._record(name, haar_unitary(system, self.rngs))
 
-    def global_density(self, pure: bool = False) -> DensityOperator:
-        dim = self.lattice.global_dim
+    def basis(self, name: str, system: System) -> np.ndarray:
+        """A Haar-random basis of ``system``: the columns of a unitary."""
+        return self._record(name, haar_random_unitary(system.dim, self.rngs))
+
+    def density(self, system: System, pure: bool = False) -> DensityOperator:
+        dim = system.dim
         matrix = _projector(random_pure_state(dim, self.rngs)) if pure else random_density_matrix(dim, self.rngs)
-        return DensityOperator(matrix, self.lattice.global_system)
+        return self._record("rho", DensityOperator(matrix, system))
+
+    def pure_target(self) -> np.ndarray:
+        """A Haar-random global state vector."""
+        return self._record("target", random_pure_state(self.lattice.global_dim, self.rngs))
 
     def mixed_target(self, system: System) -> DensityOperator:
         """A mixture of one to four random pure states."""
@@ -162,7 +182,7 @@ class _TrialContext:
                 matrix += weight * _projector(random_pure_state(system.dim, rng))
             return matrix
 
-        return DensityOperator(draw_each(self.rngs, draw), system)
+        return self._record("target", DensityOperator(draw_each(self.rngs, draw), system))
 
     def evolution(self, w: UnitaryOperator, system: System) -> EvolutionMatrix:
         n = from_global_unitary(w, system)
@@ -176,12 +196,14 @@ class _TrialContext:
 @dataclass(frozen=True)
 class Law:
     """``check(ctx, *systems)`` evaluates a batch of trials that each first
-    drew ``systems(lattice, rng)``; it returns their residuals (a float counts
-    for every trial) and their inputs, stacked per trial."""
+    drew ``systems(lattice, rng)``; it draws their operators and states
+    through ``ctx`` and returns only their residuals (a float counts for every
+    trial).  A counterexample names the systems ``a``, ``b``, ``c`` in order,
+    then the context's draws."""
 
     law_id: str
     description: str
-    check: Callable[..., tuple[float | np.ndarray, dict]]
+    check: Callable[..., float | np.ndarray]
     systems: Callable[[SystemLattice, np.random.Generator], tuple] = lambda lattice, rng: ()
 
 
@@ -195,12 +217,11 @@ def _restriction_law(residual):
     right, product)`` computes the law's own residual from them."""
 
     def check(ctx: _TrialContext, a: System, b: System):
-        w = ctx.haar_global()
-        joint = ctx.evolution(w, a.union(b))
+        joint = ctx.evolution(ctx.haar_global(), a.union(b))
         left = noumenal_partial_trace(joint, b)
         right = noumenal_partial_trace(joint, a)
         product = noumenal_product(left, right, check=False)
-        return residual(a, b, joint, left, right, product), {"w": w.matrix, "a": a, "b": b}
+        return residual(a, b, joint, left, right, product)
 
     return check
 
@@ -226,39 +247,29 @@ _law_trace_product_reconstruction = _restriction_law(
 def _law_partial_trace_via_global(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
     reduced = noumenal_partial_trace(ctx.evolution(w, a.union(b)), b)
-    return noumenal_distance(reduced, ctx.evolution(w, a)), {"w": w.matrix, "a": a, "b": b}
-
-
-def _law_partial_trace_surjectivity(ctx: _TrialContext, a: System, everything: System):
-    w = ctx.haar_global()
-    reduced = noumenal_partial_trace(ctx.evolution(w, everything), a.complement())
-    residual = noumenal_distance(reduced, ctx.evolution(w, a))
-    return residual, {"w": w.matrix, "a": a}
+    return noumenal_distance(reduced, ctx.evolution(w, a))
 
 
 def _law_partial_trace_composition(ctx: _TrialContext, a: System, b: System, c: System):
-    w = ctx.haar_global()
-    joint = ctx.evolution(w, a.union(b).union(c))
+    joint = ctx.evolution(ctx.haar_global(), a.union(b).union(c))
     stepwise = noumenal_partial_trace(noumenal_partial_trace(joint, c), b)
-    direct = noumenal_partial_trace(joint, b.union(c))
-    return noumenal_distance(stepwise, direct), {"w": w.matrix, "a": a, "b": b, "c": c}
+    return noumenal_distance(stepwise, noumenal_partial_trace(joint, b.union(c)))
 
 
 def _law_product_via_global(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
     product = noumenal_product(ctx.evolution(w, a), ctx.evolution(w, b), check=True)
-    return noumenal_distance(product, ctx.evolution(w, a.union(b))), {"w": w.matrix, "a": a, "b": b}
+    return noumenal_distance(product, ctx.evolution(w, a.union(b)))
 
 
 def _law_local_operations_factorize(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
     left = ctx.evolution(w, a)
     right = ctx.evolution(w, b)
-    u, v = ctx.haar_on(a), ctx.haar_on(b)
+    u, v = ctx.haar_on("u", a), ctx.haar_on("v", b)
     joint_action = noumenal_action(product_of_operations(u, v), noumenal_product(left, right, check=False))
     factorwise = noumenal_product(noumenal_action(u, left), noumenal_action(v, right), check=False)
-    payload = {"w": w.matrix, "u": u.matrix, "v": v.matrix, "a": a, "b": b}
-    return noumenal_distance(joint_action, factorwise), payload
+    return noumenal_distance(joint_action, factorwise)
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +294,13 @@ def no_signalling_residual(
 
 
 def _law_no_action_at_a_distance(ctx: _TrialContext, a: System, b: System):
-    w = ctx.haar_global()
-    joint = ctx.evolution(w, a.union(b))
-    u, v = ctx.haar_on(a), ctx.haar_on(b)
-    residual = no_action_residual(joint, u, v, b)
-    return residual, {"w": w.matrix, "u": u.matrix, "v": v.matrix, "a": a, "b": b}
+    joint = ctx.evolution(ctx.haar_global(), a.union(b))
+    return no_action_residual(joint, ctx.haar_on("u", a), ctx.haar_on("v", b), b)
 
 
 def _law_no_signalling(ctx: _TrialContext, a: System, b: System):
-    ab = a.union(b)
-    rho = DensityOperator(random_density_matrix(ab.dim, ctx.rngs), ab)
-    u, v = ctx.haar_on(a), ctx.haar_on(b)
-    return no_signalling_residual(rho, u, v, b), {"rho": rho.matrix, "u": u.matrix, "v": v.matrix}
+    rho = ctx.density(a.union(b))
+    return no_signalling_residual(rho, ctx.haar_on("u", a), ctx.haar_on("v", b), b)
 
 
 # ---------------------------------------------------------------------------
@@ -303,90 +309,77 @@ def _law_no_signalling(ctx: _TrialContext, a: System, b: System):
 
 def _law_remote_unitary_invariance(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
-    v = ctx.haar_on(a.complement())
+    v = ctx.haar_on("v", a.complement())
     moved = embed_operator(v.matrix, v.system) @ w.matrix
-    residual = noumenal_distance(*_halves(ctx.evolution(UnitaryOperator(np.stack([w.matrix, moved]), w.system), a)))
-    return residual, {"w": w.matrix, "v": v.matrix, "a": a}
+    return noumenal_distance(*_halves(ctx.evolution(UnitaryOperator(np.stack([w.matrix, moved]), w.system), a)))
 
 
 def _law_action_via_global(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
-    u = ctx.haar_on(a)
+    u = ctx.haar_on("u", a)
     lifted = embed_operator(u.matrix, a) @ w.matrix
     state, rebuilt = _halves(ctx.evolution(UnitaryOperator(np.stack([w.matrix, lifted]), w.system), a))
-    return noumenal_distance(noumenal_action(u, state), rebuilt), {"w": w.matrix, "u": u.matrix, "a": a}
+    return noumenal_distance(noumenal_action(u, state), rebuilt)
 
 
 def _law_action_composition(ctx: _TrialContext, a: System):
-    w = ctx.haar_global()
-    state = ctx.evolution(w, a)
-    u, v = ctx.haar_on(a), ctx.haar_on(a)
+    state = ctx.evolution(ctx.haar_global(), a)
+    u, v = ctx.haar_on("u", a), ctx.haar_on("v", a)
     composite, first = _halves(noumenal_action(UnitaryOperator(np.stack([v.matrix @ u.matrix, u.matrix]), a), state))
     del state  # so at most three grids are alive at once
-    residual = noumenal_distance(composite, noumenal_action(v, first))
-    return residual, {"w": w.matrix, "u": u.matrix, "v": v.matrix, "a": a}
+    return noumenal_distance(composite, noumenal_action(v, first))
 
 
 def _law_action_identity(ctx: _TrialContext, a: System):
-    w = ctx.haar_global()
-    state = ctx.evolution(w, a)
+    state = ctx.evolution(ctx.haar_global(), a)
     identity = UnitaryOperator(np.eye(a.dim, dtype=np.complex128), a)
-    return noumenal_distance(noumenal_action(identity, state), state), {"w": w.matrix, "a": a}
+    return noumenal_distance(noumenal_action(identity, state), state)
 
 
 # ---------------------------------------------------------------------------
 # The epimorphism.
 # ---------------------------------------------------------------------------
 
-def _law_epimorphism_via_partial_trace(ctx: _TrialContext, a: System):
-    w = ctx.haar_global()
-    rho = ctx.global_density()
-    via_grid = phi(rho, ctx.evolution(w, a))
-    evolved = w.matrix @ rho.matrix @ dagger(w.matrix)
-    direct = partial_trace(evolved, ctx.lattice.global_system, a.complement())
-    return max_abs(via_grid.matrix - direct, 2), {"w": w.matrix, "rho": rho.matrix, "a": a}
+def _reduction_law(pure: bool):
+    """A law check that ``phi`` of a random global state agrees with the
+    directly reduced evolved state; a pure state must also stay pure."""
+
+    def check(ctx: _TrialContext, a: System):
+        w = ctx.haar_global()
+        rho = ctx.density(ctx.lattice.global_system, pure)
+        evolved = w.matrix @ rho.matrix @ dagger(w.matrix)
+        direct = partial_trace(evolved, ctx.lattice.global_system, a.complement())
+        residual = max_abs(phi(rho, ctx.evolution(w, a)).matrix - direct, 2)
+        if pure:
+            residual = np.maximum(abs(np.trace(evolved @ evolved, axis1=-2, axis2=-1).real - 1.0), residual)
+        return residual
+
+    return check
 
 
 def _law_epimorphism_equivariance(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
-    rho = ctx.global_density()
-    u = ctx.haar_on(a)
-    residual = homomorphism_residual(rho, u, ctx.evolution(w, a))
-    return residual, {"w": w.matrix, "u": u.matrix, "rho": rho.matrix, "a": a}
+    rho = ctx.density(ctx.lattice.global_system)
+    return homomorphism_residual(rho, ctx.haar_on("u", a), ctx.evolution(w, a))
 
 
 def _law_epimorphism_trace_commutation(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
-    rho = ctx.global_density()
-    residual = trace_commutation_residual(rho, ctx.evolution(w, a.union(b)), b)
-    return residual, {"w": w.matrix, "rho": rho.matrix, "a": a, "b": b}
-
-
-def _law_pure_anchor_stays_pure(ctx: _TrialContext, a: System):
-    w = ctx.haar_global()
-    rho = ctx.global_density(pure=True)
-    evolved = w.matrix @ rho.matrix @ dagger(w.matrix)
-    purity_gap = abs(np.trace(evolved @ evolved, axis1=-2, axis2=-1).real - 1.0)
-    reduced = partial_trace(evolved, ctx.lattice.global_system, a.complement())
-    via_grid = phi(rho, ctx.evolution(w, a))
-    residual = np.maximum(purity_gap, max_abs(via_grid.matrix - reduced, 2))
-    return residual, {"w": w.matrix, "rho": rho.matrix, "a": a}
+    rho = ctx.density(ctx.lattice.global_system)
+    return trace_commutation_residual(rho, ctx.evolution(w, a.union(b)), b)
 
 
 def _law_pure_surjectivity(ctx: _TrialContext, a: System):
     anchor = default_anchor(ctx.lattice)
-    target_vec = random_pure_state(ctx.lattice.global_dim, ctx.rngs)
-    target_global = _projector(target_vec)
-    target_reduced = partial_trace(target_global, ctx.lattice.global_system, a.complement())
-    w = surjectivity_witness(anchor, target_vec)
-    reached = phi(anchor, ctx.evolution(w, a))
-    return max_abs(reached.matrix - target_reduced, 2), {"target": target_vec, "a": a}
+    target = ctx.pure_target()
+    reduced = partial_trace(_projector(target), ctx.lattice.global_system, a.complement())
+    reached = phi(anchor, ctx.evolution(surjectivity_witness(anchor, target), a))
+    return max_abs(reached.matrix - reduced, 2)
 
 
 def _law_mixed_surjectivity(ctx: _TrialContext, a: System):
     target = ctx.mixed_target(a)
-    reached = ext_epimorphism(mixed_state_witness(target))
-    return max_abs(reached.matrix - target.matrix, 2), {"target": target.matrix, "a": a}
+    return max_abs(ext_epimorphism(mixed_state_witness(target)).matrix - target.matrix, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +388,16 @@ def _law_mixed_surjectivity(ctx: _TrialContext, a: System):
 
 def _law_extended_reconstruction(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
-    rho = ctx.global_density()
-    state = ExtendedNoumenalState(ctx.evolution(w, a.union(b)), rho)
+    state = ExtendedNoumenalState(ctx.evolution(w, a.union(b)), ctx.density(ctx.lattice.global_system))
     rebuilt = ext_product(ext_trace(state, b), ext_trace(state, a), check=False)
-    residual = np.maximum(
-        noumenal_distance(rebuilt.n, state.n), max_abs(rebuilt.rho.matrix - state.rho.matrix, 2)
-    )
-    return residual, {"w": w.matrix, "rho": rho.matrix, "a": a, "b": b}
+    return np.maximum(noumenal_distance(rebuilt.n, state.n), max_abs(rebuilt.rho.matrix - state.rho.matrix, 2))
 
 
 def _law_extended_trace_commutation(ctx: _TrialContext, a: System, b: System):
     w = ctx.haar_global()
-    rho = ctx.global_density()
-    state = ExtendedNoumenalState(ctx.evolution(w, a.union(b)), rho)
+    state = ExtendedNoumenalState(ctx.evolution(w, a.union(b)), ctx.density(ctx.lattice.global_system))
     lhs = partial_trace(ext_epimorphism(state).matrix, a.union(b), b)
-    rhs = ext_epimorphism(ext_trace(state, b))
-    return max_abs(lhs - rhs.matrix, 2), {"w": w.matrix, "rho": rho.matrix, "a": a, "b": b}
+    return max_abs(lhs - ext_epimorphism(ext_trace(state, b)).matrix, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -419,41 +406,34 @@ def _law_extended_trace_commutation(ctx: _TrialContext, a: System, b: System):
 
 def _law_basis_change_direct(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
-    basis = haar_random_unitary(a.dim, ctx.rngs)
+    basis = ctx.basis("basis", a)
     columns = np.swapaxes(basis, -1, -2)
     w_mat = w.matrix[..., None, None, :, :]
     # [k, l] = |b_l><b_k| ⊗ I, from flips in C order so that embedding copies nothing
     flipped = embed_operator(np.multiply(columns[..., None, :, :, None], columns.conj()[..., :, None, None, :], order="C"), a)
     direct = OperatorMatrix(a, np.matmul(dagger(w_mat) @ flipped, w_mat, out=flipped), "target")  # first, so fewer grids are alive at once
-    transformed = change_of_basis(ctx.evolution(w, a), np.eye(a.dim), basis, "target")
-    return noumenal_distance(transformed, direct), {"w": w.matrix, "basis": basis, "a": a}
+    return noumenal_distance(change_of_basis(ctx.evolution(w, a), np.eye(a.dim), basis, "target"), direct)
 
 
 def _law_basis_change_identity(ctx: _TrialContext, a: System):
-    w = ctx.haar_global()
-    state = ctx.evolution(w, a)
+    state = ctx.evolution(ctx.haar_global(), a)
     eye = np.eye(a.dim)
-    return noumenal_distance(change_of_basis(state, eye, eye, CANONICAL), state), {"w": w.matrix, "a": a}
+    return noumenal_distance(change_of_basis(state, eye, eye, CANONICAL), state)
 
 
 def _law_basis_change_composition(ctx: _TrialContext, a: System):
-    w = ctx.haar_global()
-    state = ctx.evolution(w, a)
-    eye = np.eye(a.dim)
-    b2 = haar_random_unitary(a.dim, ctx.rngs)
-    b3 = haar_random_unitary(a.dim, ctx.rngs)
-    mid, direct = _halves(change_of_basis(state, eye, np.stack([b2, b3]), "end"), "mid", "end")
+    state = ctx.evolution(ctx.haar_global(), a)
+    b2, b3 = ctx.basis("b2", a), ctx.basis("b3", a)
+    mid, direct = _halves(change_of_basis(state, np.eye(a.dim), np.stack([b2, b3]), "end"), "mid", "end")
     del state  # so at most three grids are alive at once
-    return noumenal_distance(change_of_basis(mid, b2, b3, "end"), direct), {"w": w.matrix, "b2": b2, "b3": b3, "a": a}
+    return noumenal_distance(change_of_basis(mid, b2, b3, "end"), direct)
 
 
 def _law_basis_change_round_trip(ctx: _TrialContext, a: System):
-    w = ctx.haar_global()
-    state = ctx.evolution(w, a)
+    state = ctx.evolution(ctx.haar_global(), a)
     eye = np.eye(a.dim)
-    b2 = haar_random_unitary(a.dim, ctx.rngs)
-    round_trip = change_of_basis(change_of_basis(state, eye, b2, "mid"), b2, eye, CANONICAL)
-    return noumenal_distance(round_trip, state), {"w": w.matrix, "b2": b2, "a": a}
+    b2 = ctx.basis("b2", a)
+    return noumenal_distance(change_of_basis(change_of_basis(state, eye, b2, "mid"), b2, eye, CANONICAL), state)
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +442,7 @@ def _law_basis_change_round_trip(ctx: _TrialContext, a: System):
 
 def _consistency_law(residual: Callable[[OperatorMatrix], float | np.ndarray]):
     """A law check on one consistency residual of a random grid."""
-
-    def check(ctx: _TrialContext, a: System):
-        w = ctx.haar_global()
-        return residual(ctx.evolution(w, a)), {"w": w.matrix, "a": a}
-
-    return check
+    return lambda ctx, a: residual(ctx.evolution(ctx.haar_global(), a))
 
 
 LAWS: tuple[Law, ...] = (
@@ -479,7 +454,7 @@ LAWS: tuple[Law, ...] = (
     Law("action_composition", "acting with a composite equals acting in sequence", _law_action_composition, _subsystem),
     Law("action_identity", "the identity operation leaves states unchanged", _law_action_identity, _subsystem),
     Law("partial_trace_via_global", "restriction of a joint state equals the directly built state", _law_partial_trace_via_global, _disjoint_pair),
-    Law("partial_trace_surjectivity", "every local state is the restriction of a joint state", _law_partial_trace_surjectivity, _subsystem_in_global),
+    Law("partial_trace_surjectivity", "every local state is the restriction of a joint state", _law_partial_trace_via_global, _complement_pair),
     Law("partial_trace_composition", "tracing out in stages equals tracing out at once", _law_partial_trace_composition, _three_split),
     Law("product_via_global", "combining both restrictions rebuilds the joint state", _law_product_via_global, _disjoint_pair),
     Law("product_trace_left_recovery", "tracing a product recovers its left factor", _law_product_trace_left, _disjoint_pair),
@@ -489,10 +464,10 @@ LAWS: tuple[Law, ...] = (
     Law("local_operations_factorize", "a joint local operation acts factor by factor", _law_local_operations_factorize, _disjoint_pair),
     Law("no_action_at_a_distance", "remote operations leave the local noumenal state unchanged", _law_no_action_at_a_distance, _disjoint_pair),
     Law("no_signalling", "remote operations leave the local phenomenal state unchanged", _law_no_signalling, _disjoint_pair),
-    Law("epimorphism_via_partial_trace", "phi agrees with the directly reduced evolved state", _law_epimorphism_via_partial_trace, partial(_subsystem, low=0)),
+    Law("epimorphism_via_partial_trace", "phi agrees with the directly reduced evolved state", _reduction_law(pure=False), partial(_subsystem, low=0)),
     Law("epimorphism_equivariance", "phi intertwines the noumenal and phenomenal actions", _law_epimorphism_equivariance, _subsystem),
     Law("epimorphism_trace_commutation", "phi commutes with partial traces", _law_epimorphism_trace_commutation, _disjoint_pair),
-    Law("pure_anchor_stays_pure", "a pure reference stays pure and reduces consistently", _law_pure_anchor_stays_pure, _subsystem),
+    Law("pure_anchor_stays_pure", "a pure reference stays pure and reduces consistently", _reduction_law(pure=True), _subsystem),
     Law("pure_surjectivity", "every reduced pure state is reached from the reference", _law_pure_surjectivity, _subsystem),
     Law("mixed_surjectivity", "every mixed state is reached by an anchored identity state", _law_mixed_surjectivity, _subsystem),
     Law("extended_reconstruction", "anchored restrictions recombine to the anchored joint state", _law_extended_reconstruction, _disjoint_pair),
@@ -555,22 +530,25 @@ def _rank(found: tuple) -> tuple:  # worst residual first, then lowest trial
 
 
 def _worst_of_batch(lattice, law, law_index, seed, batch, inject_bug) -> tuple:
-    """The worst ``(residual, trial, payload)`` of a batch of ``_start``
-    results with the same systems; NaN ranks as ``inf``.  If the batch
-    raises, each trial runs again alone from a fresh generator, so an error
-    costs only the trials that raise it."""
+    """The worst ``(residual, trial, inputs)`` of a batch of ``_start``
+    results with the same systems; NaN ranks as ``inf``.  ``inputs`` holds
+    that trial's systems as ``a``, ``b``, ``c`` and then its draws by name.
+    If the batch raises, each trial runs again alone from a fresh generator,
+    so an error costs only the trials that raise it; a lone trial that
+    raises adds the ``error`` after the draws it made."""
+    ctx = _TrialContext(lattice, [rng for _, rng, _ in batch], inject_bug)
     try:
-        ctx = _TrialContext(lattice, [rng for _, rng, _ in batch], inject_bug)
-        residuals, payload = law.check(ctx, *batch[0][2])
+        residuals, error = law.check(ctx, *batch[0][2]), {}
     except NoumenalError as exc:
-        if len(batch) == 1:
-            return float("inf"), batch[0][0], {"error": f"{type(exc).__name__}: {exc}"}
-        alone = [_start(lattice, law, law_index, seed, [k]) for k, _, _ in batch]
-        return max((_worst_of_batch(lattice, law, law_index, seed, b, inject_bug) for b in alone), key=_rank)
+        if len(batch) > 1:
+            alone = [_start(lattice, law, law_index, seed, [k]) for k, _, _ in batch]
+            return max((_worst_of_batch(lattice, law, law_index, seed, b, inject_bug) for b in alone), key=_rank)
+        residuals, error = np.inf, {"error": f"{type(exc).__name__}: {exc}"}
     residuals = np.broadcast_to(np.asarray(residuals, dtype=float), (len(batch),))
     residuals = np.where(np.isnan(residuals), np.inf, residuals)
     i = int(np.argmax(residuals))
-    return float(residuals[i]), batch[i][0], {k: v[i] if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+    trial, _, systems = batch[i]
+    return float(residuals[i]), trial, {**dict(zip("abc", systems)), **{k: v[i] for k, v in ctx.drawn.items()}, **error}
 
 
 def run_law_suite(
@@ -622,11 +600,11 @@ def run_law_suite(
                 for b in range(0, len(members), size):
                     found = _worst_of_batch(lattice, law, law_index, seed, members[b : b + size], inject_bug)
                     worst = max(worst, found, key=_rank)
-        residual, worst_trial, payload = worst
+        residual, worst_trial, inputs = worst
         counterexample = None
         if residual > tol:
             counterexample = {"trial": worst_trial, "replay": f"{command} --law {law.law_id} --trial {worst_trial}"}
-            counterexample.update({k: _jsonify_value(v) for k, v in payload.items()})
+            counterexample.update({k: _jsonify_value(v) for k, v in inputs.items()})
         passed = residual <= tol
         reports.append(LawReport(law.law_id, law.description, len(indices), residual, passed, seed, counterexample))
     return reports

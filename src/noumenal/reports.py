@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +20,11 @@ class LawReport:
     """Outcome of randomized trials of one algebraic law.
 
     ``passed`` is ``None`` when no trials ran (reported as "skipped").
-    ``counterexample`` holds the serialized inputs of the worst failing
-    trial, when there is one.
+    ``counterexample`` holds the worst failing trial, when there is one: its
+    index, its replay command, its systems and named draws, and the
+    ``error`` it raised, if any.  A non-finite ``max_residual`` (a trial
+    raised, or its residual was NaN) is written as JSON ``null`` and read
+    back as ``inf``.
     """
 
     law_id: str
@@ -42,7 +46,7 @@ class LawReport:
             "law_id": self.law_id,
             "description": self.description,
             "trials": self.trials,
-            "max_residual": self.max_residual,
+            "max_residual": self.max_residual if self.max_residual is None or math.isfinite(self.max_residual) else None,
             "status": self.status,
             "seed": self.seed,
         }
@@ -52,12 +56,12 @@ class LawReport:
 
     @classmethod
     def from_json(cls, payload: dict) -> "LawReport":
-        status = payload["status"]
+        status, residual = payload["status"], payload["max_residual"]
         return cls(
             law_id=payload["law_id"],
             description=payload["description"],
             trials=payload["trials"],
-            max_residual=payload["max_residual"],
+            max_residual=math.inf if residual is None and status == "fail" else residual,
             passed=None if status == "skipped" else status == "pass",
             seed=payload["seed"],
             counterexample=payload.get("counterexample"),
@@ -102,6 +106,8 @@ def render_law_table(reports: list[LawReport]) -> str:
     rows = [("LAW", "STATUS", "TRIALS", "MAX RESIDUAL")]
     for report in reports:
         residual = "-" if report.max_residual is None else f"{report.max_residual:.3e}"
+        if "error" in (report.counterexample or {}):
+            residual = "error"
         rows.append((report.law_id, report.status, str(report.trials), residual))
     widths = [max(len(row[col]) for row in rows) for col in range(4)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]

@@ -163,3 +163,8 @@ def product_residual_oracle(entries: np.ndarray) -> float:
     products = np.einsum("ijpq,klqr->ijklpr", entries, entries)
     expected = np.einsum("il,kjpq->ijklpq", np.eye(d), entries)
     return float(np.max(np.abs(products - expected)))
+
+
+def refuse_constant(constant: str):
+    """A ``json.loads`` ``parse_constant`` that holds a record to RFC 8259: no ``NaN`` or ``Infinity``."""
+    raise ValueError(f"{constant} is not RFC 8259 JSON")

@@ -30,6 +30,7 @@ from noumenal import (
     noumenal_partial_trace,
     noumenal_product,
 )
+from noumenal.evolution import pairing_residual, product_residual, trace_residual
 from noumenal.linalg import index_map
 
 from conftest import (
@@ -292,6 +293,18 @@ def test_consistency_rejects_scaled_entry(lat22, rng):
     report = consistency_check(OperatorMatrix(lat22.atom(0), entries))
     assert not report.ok
     assert report.trace_residual > 1e-3
+
+
+def test_product_law_checks_its_closure_half(lat22):
+    # e(0,0) = I and every other entry zero: Hermitian pairs, identity trace, and
+    # e(i,j) = e(0,j) e(i,0) all hold; only e(1,0) e(0,1) = e(0,0) fails.
+    a = lat22.atom(0)
+    entries = np.zeros((a.dim, a.dim, lat22.global_dim, lat22.global_dim), dtype=np.complex128)
+    entries[0, 0] = np.eye(lat22.global_dim)
+    grid = OperatorMatrix(a, entries)
+    assert (pairing_residual(grid), trace_residual(grid), product_residual(grid)) == (0.0, 0.0, 1.0)
+    with pytest.raises(CompatibilityViolation):
+        EvolutionMatrix(a, entries)
 
 
 def test_evolution_matrix_constructor_validates(lat22, rng):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -21,9 +22,12 @@ from noumenal import (
     System,
     ValidationError,
     laws,
+    render_law_table,
     run_law_suite,
 )
 from noumenal.cli import main
+
+from conftest import refuse_constant
 
 REQUIRED_LAWS = {
     "grid_conjugate_pairing",
@@ -92,7 +96,7 @@ def test_bug_injection_fails_consistency_laws(lat22):
 
 
 def test_nan_residual_fails_closed(lat22, monkeypatch):
-    nan_law = laws.Law("always_nan", "residual is always NaN", lambda ctx: (float("nan"), {}))
+    nan_law = laws.Law("always_nan", "residual is always NaN", lambda ctx: float("nan"))
     monkeypatch.setattr(laws, "LAWS", (nan_law,))
     [report] = run_law_suite(lat22, trials=3, seed=0)
     assert report.status == "fail"
@@ -128,6 +132,59 @@ def test_law_report_round_trip(lat22):
         assert LawReport.from_json(report.to_json()) == report
 
 
+def test_a_raised_trial_is_written_as_null_and_read_back_as_inf(lat22):
+    reports = run_law_suite(lat22, trials=5, seed=0, inject_bug=True)
+    raised = [report for report in reports if "error" in (report.counterexample or {})]
+    assert raised
+    table = render_law_table(reports)
+    for report in raised:
+        assert report.max_residual == math.inf and report.status == "fail"
+        text = json.dumps(report.to_json(), default=np.ndarray.tolist)
+        record = json.loads(text, parse_constant=refuse_constant)
+        assert record["max_residual"] is None
+        assert LawReport.from_json(record) == dataclasses.replace(report, counterexample=record["counterexample"])
+        assert re.search(rf"^{report.law_id} +fail +5 +error$", table, re.MULTILINE)
+
+
+#: Each law's named draws, in the order it draws them, after its systems.
+LAW_DRAWS = {
+    "w": [
+        "grid_conjugate_pairing", "grid_operator_products", "grid_trace_completeness", "action_identity",
+        "partial_trace_via_global", "partial_trace_surjectivity", "partial_trace_composition",
+        "product_via_global", "product_trace_left_recovery", "product_trace_right_recovery",
+        "unique_decomposition", "trace_product_reconstruction", "basis_change_identity",
+    ],
+    "w u": ["action_via_global"],
+    "w v": ["remote_unitary_invariance"],
+    "w u v": ["action_composition", "local_operations_factorize", "no_action_at_a_distance"],
+    "rho u v": ["no_signalling"],
+    "w rho": [
+        "epimorphism_via_partial_trace", "epimorphism_trace_commutation", "pure_anchor_stays_pure",
+        "extended_reconstruction", "extended_trace_commutation",
+    ],
+    "w rho u": ["epimorphism_equivariance"],
+    "target": ["pure_surjectivity", "mixed_surjectivity"],
+    "w basis": ["basis_change_direct_construction"],
+    "w b2": ["basis_change_round_trip"],
+    "w b2 b3": ["basis_change_composition"],
+}
+
+
+def test_every_counterexample_holds_its_trial_systems_and_draws(lat22):
+    named = {law_id: draws.split() for draws, law_ids in LAW_DRAWS.items() for law_id in law_ids}
+    assert named.keys() == REQUIRED_LAWS
+    for law_index, (law, report) in enumerate(zip(LAWS, run_law_suite(lat22, 3, 0, tol=-1.0))):
+        found = report.counterexample
+        trial = found["trial"]
+        assert found["replay"].endswith(f" --law {law.law_id} --trial {trial}")
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(law_index, trial)))
+        systems = {name: list(system.atom_ids) for name, system in zip("abc", law.systems(lat22, rng))}
+        assert list(found) == ["trial", "replay", *systems, *named[law.law_id]], law.law_id
+        assert {name: found[name] for name in systems} == systems, law.law_id
+        for name in named[law.law_id]:  # one trial's matrix or vector, as [re, im] pairs
+            assert found[name].ndim in (2, 3) and found[name].shape[-1] == 2, (law.law_id, name)
+
+
 def trial_of(rng: np.random.Generator) -> int:
     """The trial a generator belongs to: the last entry of its spawn key."""
     return rng.bit_generator.seed_seq.spawn_key[-1]
@@ -139,10 +196,10 @@ def batched_residuals(monkeypatch, lattice, trials, seed, **options) -> dict:
 
     def recording(law):
         def check(ctx, *systems):
-            residuals, payload = law.check(ctx, *systems)
+            residuals = law.check(ctx, *systems)
             for rng, residual in zip(ctx.rngs, np.broadcast_to(residuals, len(ctx.rngs))):
                 seen[law.law_id, trial_of(rng)] = float(residual)
-            return residuals, payload
+            return residuals
 
         return dataclasses.replace(law, check=check)
 
@@ -219,7 +276,7 @@ def test_self_test_bug_replays_reproduce_the_reported_residuals(lat22):
             assert main([*argv[1:], "--format", "json"]) == 1
         [law] = json.loads(out.getvalue())["laws"]
         assert (law["law_id"], law["trials"]) == (report.law_id, 1)
-        assert law["max_residual"] == report.max_residual
+        assert LawReport.from_json(law).max_residual == report.max_residual  # null in JSON is inf
 
 
 def test_replay_selection_is_validated(lat22):
@@ -240,7 +297,7 @@ def test_an_error_costs_only_the_trial_that_raises(lat22, monkeypatch):
         if 3 in trials:
             raise ValidationError("trial 3 is malformed")
         residuals.update(zip(trials, draws.tolist()))
-        return draws * 1e-12, {"draw": draws}
+        return draws * 1e-12
 
     monkeypatch.setattr(laws, "LAWS", (laws.Law("raises_once", "trial 3 raises", check),))
     [report] = run_law_suite(lat22, trials=6, seed=0)

@@ -2,22 +2,26 @@
 
 Each command runs in-process through ``cli.main``, from the repository
 root; the test compares the first 16 hex digits of the SHA-256 of its
-stdout.  A change that moves one of these hashes on purpose updates it here
-and says in CHANGES.md why the output moved.
+stdout, and parses that stdout as strict JSON, without ``NaN`` or
+``Infinity``.  A change that moves one of these hashes on purpose updates
+it here and says in CHANGES.md why the output moved.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 from noumenal.cli import main
 
+from conftest import refuse_constant
+
 PINNED = {
     "verify --atoms 2x2x2 --trials 20 --seed 3": "147e41f830e2ab36",
-    "verify --atoms 2x2 --trials 5 --self-test-bug": "87466aab6ad50215",
+    "verify --atoms 2x2 --trials 5 --self-test-bug": "5786d9c827d6342d",
     "verify --atoms 2x2x2 --trials 100 --seed 0": "075351bdc0b9e323",
     "simulate --file perfbench/inputs/simulate-7q-seed0.json": "a26e52e4d14e731a",
     "demo bell-incompleteness": "2a5d098cb0597639",
@@ -31,4 +35,5 @@ def test_json_stdout_hash_is_pinned(monkeypatch, command):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         main([*command.split(), "--format", "json"])
+    json.loads(out.getvalue(), parse_constant=refuse_constant)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == PINNED[command]
