@@ -2,11 +2,13 @@
 
 The noumenal state of a system ``A`` under a global operation ``W`` is the
 grid ``[W]^A`` whose ``(i, j)`` entry is the global-space operator
-``W† (|j><i| ⊗ I) W`` (identity padding on the complement of ``A``).  The
-grid is stored as one rank-4 array of shape ``(d, d, D, D)`` with ``d`` the
-dimension of ``A`` and ``D`` the global dimension; ``entry(i, j)`` is a view
-of the ``(i, j)`` operator.  Leading axes before these four hold a batch of
-grids, one per law-suite trial; every function here takes either.
+``W† (|j><i| ⊗ I) W`` (identity padding on the complement of ``A``).  A grid
+built from ``W`` holds its Gram factor ``G``, the rows of ``W`` grouped by the
+index of ``A``: shape ``(d, D/d, D)`` for ``A`` of dimension ``d`` in global
+dimension ``D``, with ``entry(i, j) = G_j† G_i``.  Actions multiply ``G`` and
+partial traces take its rows; the dense ``(d, d, D, D)`` entries form on first
+read.  Raw grids (from JSON, perturbed, products) hold only those and run the
+dense kernels.  Leading axes hold a batch of grids, one per law-suite trial.
 
 Three algebraic laws characterize such grids and are used as the consistency
 gate for products of independently built states:
@@ -49,9 +51,9 @@ CANONICAL = "canonical"
 
 class OperatorMatrix:
     """A raw ``d x d`` grid of ``D x D`` operators, or a batch of grids on one
-    system; shape-checked only."""
+    system; shape-checked only.  Its ``factor`` is ``None``: only ``_factored`` sets one."""
 
-    __slots__ = ("system", "basis_tag", "entries")
+    __slots__ = ("system", "basis_tag", "factor", "_entries")
 
     def __init__(self, system: System, entries: np.ndarray, basis_tag: str = CANONICAL):
         entries = np.ascontiguousarray(entries, dtype=np.complex128)
@@ -63,17 +65,22 @@ class OperatorMatrix:
                 f"{(d, d, big_d, big_d)} for system {system}"
             )
         entries.flags.writeable = False
-        self.system = system
-        self.basis_tag = basis_tag
-        self.entries = entries
+        self.system, self.basis_tag, self.factor, self._entries = system, basis_tag, None, entries
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The read-only dense grid; a factored grid forms it on the first read and keeps it."""
+        if self._entries is None:
+            self._entries = _gram(self.factor)
+        return self._entries
 
     @property
     def grid_dim(self) -> int:
-        return self.entries.shape[-4]
+        return self.system.dim
 
     @property
     def global_dim(self) -> int:
-        return self.entries.shape[-1]
+        return self.system.lattice.global_dim
 
     def entry(self, i: int, j: int) -> np.ndarray:
         """The operator at grid position ``(i, j)`` (a read-only view)."""
@@ -100,7 +107,7 @@ class EvolutionMatrix(OperatorMatrix):
 
     Constructing one directly runs :func:`consistency_check`; the functions
     that produce grids guaranteed valid by construction build them through
-    :meth:`_trusted`, which skips it.
+    :meth:`_trusted` or :meth:`_factored`, which skip it.
     """
 
     def __init__(self, system: System, entries: np.ndarray, basis_tag: str = CANONICAL):
@@ -114,6 +121,14 @@ class EvolutionMatrix(OperatorMatrix):
         trusted = cls.__new__(cls)
         OperatorMatrix.__init__(trusted, system, entries, basis_tag)
         return trusted
+
+    @classmethod
+    def _factored(cls, system: System, factor: np.ndarray, basis_tag: str) -> "EvolutionMatrix":
+        """The grid of a read-only Gram factor ``(..., d, D/d, D)``."""
+        grid = cls.__new__(cls)
+        factor.flags.writeable = False
+        grid.system, grid.basis_tag, grid.factor, grid._entries = system, basis_tag, factor, None
+        return grid
 
     @classmethod
     def from_json(cls, lattice, payload: dict) -> "EvolutionMatrix":
@@ -185,6 +200,19 @@ def consistency_check(m: OperatorMatrix) -> ConsistencyReport:
 # Construction and the noumenal operations.
 # ---------------------------------------------------------------------------
 
+def _gram(factor: np.ndarray) -> np.ndarray:
+    """The read-only grid ``(i, j) -> factor_j† factor_i``."""
+    entries = np.ascontiguousarray(dagger(factor))[..., None, :, :, :] @ factor[..., :, None, :, :]
+    entries.flags.writeable = False
+    return entries
+
+
+def _left(x: np.ndarray, a: np.ndarray, rank: int) -> np.ndarray:
+    """``x`` applied to the first of the last ``rank`` axes of ``a``: a grid's rows or a factor's blocks."""
+    out = x @ a.reshape(*a.shape[:-rank], x.shape[-1], -1)
+    return out.reshape(*out.shape[:-2], *a.shape[-rank:])
+
+
 def _conjugate(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """The grid ``(i, j) -> sum_kl x_ik entries[k, l] conj(x_jl)``.
 
@@ -192,8 +220,7 @@ def _conjugate(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     so besides the result only one grid row is alive at a time.
     """
     d = x.shape[-1]
-    out = x @ entries.reshape(*entries.shape[:-4], d, -1)
-    out = out.reshape(*out.shape[:-2], *entries.shape[-4:])
+    out = _left(x, entries, 4)
     x_conj = x.conj()
     for i in range(d):
         row = out[..., i, :, :, :]
@@ -201,22 +228,25 @@ def _conjugate(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return out
 
 
+def _transform(x: np.ndarray, n: OperatorMatrix, basis_tag: str) -> EvolutionMatrix:
+    """``(i, j) -> sum_kl x_ik entry(k, l) conj(x_jl)``: a factor's blocks become ``G'_i = sum_k x_ik G_k``."""
+    if n.factor is not None:
+        return EvolutionMatrix._factored(n.system, _left(x, n.factor, 3), basis_tag)
+    return EvolutionMatrix._trusted(n.system, _conjugate(x, n.entries), basis_tag)
+
+
 def from_global_unitary(w: UnitaryOperator, a_sys: System) -> EvolutionMatrix:
     """The noumenal state ``[W]^A`` of ``a_sys`` under global operation ``w``.
 
     Entry ``(i, j)`` is ``W† (|j><i| ⊗ I) W``.  Equivalently, with the rows
     of ``W`` grouped by the basis index of ``a_sys``, entry ``(i, j)`` is the
-    (rows ``j``)† (rows ``i``) Gram block, which is how it is computed.
+    (rows ``j``)† (rows ``i``) Gram block; the grid holds those rows as its factor.
     """
     if not w.system.is_global:
         raise NotGlobalOperator(f"operation acts on {w.system}, not the global system")
     rest = a_sys.complement()
-    perm = index_map(a_sys, rest).reshape(-1)
-    batch = w.matrix.shape[:-2]
-    grouped = np.take(w.matrix, perm, axis=-2).reshape(*batch, a_sys.dim, rest.dim, w.system.dim)
-    gram_left = np.ascontiguousarray(dagger(grouped))
-    entries = gram_left[..., None, :, :, :] @ grouped[..., :, None, :, :]
-    return EvolutionMatrix._trusted(a_sys, entries, CANONICAL)
+    grouped = np.take(w.matrix, index_map(a_sys, rest), axis=-2)  # (..., d, D/d, D)
+    return EvolutionMatrix._factored(a_sys, grouped, CANONICAL)
 
 
 def identity_evolution(a_sys: System) -> EvolutionMatrix:
@@ -235,7 +265,7 @@ def noumenal_action(u: UnitaryOperator, n: OperatorMatrix) -> EvolutionMatrix:
         raise SystemMismatch(f"operation on {u.system} cannot act on a state of {n.system}")
     if n.basis_tag != CANONICAL:
         raise BasisMismatch(f"operation is in basis {CANONICAL!r} but state is in {n.basis_tag!r}")
-    return EvolutionMatrix._trusted(n.system, _conjugate(u.matrix, n.entries), CANONICAL)
+    return _transform(u.matrix, n, CANONICAL)
 
 
 def noumenal_partial_trace(n: OperatorMatrix, traced: System) -> EvolutionMatrix:
@@ -251,6 +281,9 @@ def noumenal_partial_trace(n: OperatorMatrix, traced: System) -> EvolutionMatrix
         raise BasisMismatch("partial traces are defined on canonical-basis grids")
     keep = n.system.difference(traced)
     perm = index_map(keep, traced)
+    if n.factor is not None:  # kept block i stacks the blocks (i, k): a row take
+        g = n.factor.take(perm, axis=-3)
+        return EvolutionMatrix._factored(keep, g.reshape(*g.shape[:-4], keep.dim, -1, g.shape[-1]), CANONICAL)
     *batch, d, _, big_d, _ = n.entries.shape
     flat = n.entries.reshape(*batch, d * d, big_d, big_d)
     rows = (perm[:, None] * d + perm).reshape(-1, traced.dim).T  # rows[k]: entries ((i,k), (j,k)) of flat grid axes
@@ -335,4 +368,4 @@ def change_of_basis(n: OperatorMatrix, b_from: np.ndarray, b_to: np.ndarray, to_
     if n.basis_tag == CANONICAL and max_abs(b_from - np.eye(d)) > TOL_UNITARY:
         raise BasisMismatch("grid is canonical-basis but the source basis is not the identity")
     overlap = dagger(b_to) @ b_from  # <k|i>
-    return EvolutionMatrix._trusted(n.system, _conjugate(overlap, n.entries), to_tag)
+    return _transform(overlap, n, to_tag)

@@ -143,7 +143,7 @@ WRITE_CHARS = 1 << 16
 
 
 def dump_json(payload, stream) -> None:
-    """Write exactly ``json.dumps(payload, indent=2, default=np.ndarray.tolist)``
+    """Write exactly ``json.dumps(payload, indent=2, default=np.ndarray.tolist, allow_nan=False)``
     to ``stream``, without the per-value generators of the pure-Python encoder
     that ``indent`` selects, in pieces of about ``WRITE_CHARS`` characters.
 
@@ -202,7 +202,7 @@ def _block(value, depth: int) -> str:
         return _float_block(value, depth)
     # JSON strings never hold a raw newline, so every newline here is a line
     # break that json.dumps would indent by the enclosing depth.
-    text = json.dumps(value, indent=2, default=np.ndarray.tolist)
+    text = json.dumps(value, indent=2, default=np.ndarray.tolist, allow_nan=False)
     return text.replace("\n", "\n" + "  " * depth)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -144,3 +145,17 @@ def test_demo_scripts_run():
             timeout=120,
         )
         assert proc.returncode == 0, f"{script.name} exited {proc.returncode}:\n{proc.stderr}"
+
+
+def test_no_signalling_demo_never_builds_the_global_grid():
+    """On 2^5 the global grid alone is 16 MB (d = D = 32); the demo acts on
+    and traces its Gram factor and forms only the 64 KB grids of one atom."""
+    lattice = SystemLattice.from_dims([2] * 5)
+    tracemalloc.start()
+    try:
+        result = no_signalling_demo(lattice, trials=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 4 * 2**20

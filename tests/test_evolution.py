@@ -35,6 +35,7 @@ from noumenal.linalg import index_map
 
 from conftest import (
     conjugation_oracle,
+    embed_oracle,
     evolution_oracle,
     product_oracle,
     product_residual_oracle,
@@ -424,6 +425,51 @@ def test_non_canonical_grids_do_not_mix(lat22, rng):
     u = haar_unitary(a, rng)
     with pytest.raises(BasisMismatch):
         noumenal_action(u, rotated)
+
+
+# ---------------------------------------------------------------------------
+# Grids held as their Gram factor.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_factored_kernels_match_the_oracles(lat232, batched):
+    """A grid built from ``W``, acted on, re-expressed or traced stays factored
+    and matches the brute-force oracles, one batch member at a time."""
+    a, s = lat232.system((0, 2)), lat232.global_system
+    rng = [np.random.default_rng([5, k]) for k in range(3)] if batched else np.random.default_rng(5)
+    w, u, basis = haar_unitary(s, rng), haar_unitary(a, rng), haar_random_unitary(a.dim, rng)
+    n = from_global_unitary(w, a)
+    results = {
+        "action": noumenal_action(u, n),
+        "basis": change_of_basis(n, np.eye(a.dim), basis, "b"),
+        "trace": noumenal_partial_trace(from_global_unitary(w, s), lat232.atom(1)),
+        "action then trace": noumenal_partial_trace(noumenal_action(u, n), lat232.atom(2)),
+    }
+    for name, result in results.items():
+        assert result.factor is not None, name
+        assert result.entries.shape == (*np.shape(w.matrix)[:-2], result.grid_dim, result.grid_dim, 12, 12), name
+    ws, us, bases = (m.reshape(-1, *m.shape[-2:]) for m in (w.matrix, u.matrix, basis))
+    for k, (wk, uk, bk) in enumerate(zip(ws, us, bases)):
+        def member(grid):
+            return grid.entries[k] if batched else grid.entries
+
+        assert max_abs(member(n) - evolution_oracle(wk, a)) < 1e-12
+        assert max_abs(member(results["action"]) - conjugation_oracle(uk, evolution_oracle(wk, a))) < 1e-12
+        assert max_abs(member(results["basis"]) - conjugation_oracle(bk.conj().T, evolution_oracle(wk, a))) < 1e-12
+        assert max_abs(member(results["trace"]) - evolution_oracle(wk, a)) < 1e-12
+        lifted = embed_oracle(uk, a, s) @ wk
+        assert max_abs(member(results["action then trace"]) - evolution_oracle(lifted, lat232.atom(0))) < 1e-12
+
+
+def test_factored_entries_are_formed_once_and_read_only(lat232, rng):
+    n = from_global_unitary(global_haar(lat232, rng), lat232.atom(1))
+    assert n.factor.shape == (3, 4, 12) and not n.factor.flags.writeable
+    entries = n.entries
+    assert n.entries is entries and not entries.flags.writeable
+    with pytest.raises(ValueError):
+        entries[0, 0, 0, 0] = 1.0
+    raw = OperatorMatrix(n.system, entries)
+    assert raw.factor is None and raw.entries is entries
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,27 @@ def test_nan_residual_fails_closed(lat22, monkeypatch):
     assert report.max_residual == math.inf
 
 
+def test_a_trial_that_raised_fails_at_infinite_tolerance(lat22):
+    reports = run_law_suite(lat22, trials=5, seed=0, tol=math.inf, inject_bug=True)
+    raised = {r.law_id: r for r in reports if r.max_residual == math.inf}
+    assert set(raised) == {
+        "product_via_global", "epimorphism_via_partial_trace", "epimorphism_equivariance",
+        "epimorphism_trace_commutation", "pure_anchor_stays_pure", "extended_trace_commutation",
+    }
+    for report in raised.values():
+        assert report.status == "fail" and "error" in report.counterexample, report.law_id
+    assert all(r.status == "pass" and r.counterexample is None for r in reports if r.law_id not in raised)
+
+
+@pytest.mark.parametrize("dims", [[2, 2, 2], [2, 3, 2]])
+def test_partial_trace_laws_compare_two_kernels(dims):
+    """Each side of these laws is a row take of one ``W`` when both are factored,
+    which reads exactly 0.0; one side runs the dense trace, so rounding shows."""
+    kept = ("partial_trace_via_global", "partial_trace_surjectivity", "partial_trace_composition")
+    reports = run_law_suite(SystemLattice.from_dims(dims), trials=20, seed=0)
+    assert all(0.0 < r.max_residual <= 1e-9 for r in reports if r.law_id in kept)
+
+
 def test_suite_is_deterministic(lat23):
     first = run_law_suite(lat23, trials=8, seed=99)
     second = run_law_suite(lat23, trials=8, seed=99)

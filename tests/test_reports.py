@@ -4,6 +4,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,8 +13,9 @@ from noumenal.reports import BLOCK_FLOATS, WRITE_CHARS, _float_block, dump_json
 
 
 def oracle(value) -> str:
-    """The reference for every test below: the stdlib encoder, arrays as lists."""
-    return json.dumps(value, indent=2, default=np.ndarray.tolist)
+    """The reference for every test below: the stdlib encoder, arrays as lists,
+    refusing NaN and infinities with ``ValueError``."""
+    return json.dumps(value, indent=2, default=np.ndarray.tolist, allow_nan=False)
 
 
 EDGE_FLOATS = (0.0, -0.0, 1e16, 1e-5, 5e-324, 2.2e-308, 1.5e300, math.nan, math.inf, -math.inf)
@@ -71,7 +73,22 @@ json_values = st.recursive(
 @example({"empty": np.empty((2, 0))})
 @example(np.array([{"a": [1, None]}] * (BLOCK_FLOATS + 1) + [None], dtype=object))
 def test_dumps_json_matches_json_dumps(value):
-    assert dumps_json(value) == oracle(value)
+    try:
+        expected = oracle(value)
+    except ValueError:  # a NaN or an infinity
+        with pytest.raises(ValueError):
+            dumps_json(value)
+        return
+    assert dumps_json(value) == expected
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"x": math.nan}, {"y": np.array([1.0, math.inf])}, {"z": np.full((2, BLOCK_FLOATS), -math.inf)}, [1.0, [math.nan]]],
+)
+def test_dump_json_refuses_non_finite_floats(payload):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_json(payload, io.StringIO())
 
 
 @given(rectangular(finite_floats), st.integers(0, 3))
@@ -93,17 +110,14 @@ def test_serialized_matrix_takes_the_level_renderer(monkeypatch):
 
 def test_dump_json_writes_a_large_grid_in_bounded_pieces():
     entries = matrix_to_json(np.arange(2 * 2 * 64 * 64).reshape(2, 2, 64, 64) / 7j)
-    # A row that falls back to json.dumps inside a grid walked row by row.
-    entries[0, 1, 5, 3, 0] = math.nan
     # The same rows as lists, with an int leaf, take the generic walk.
     rows = entries[1].tolist()
     rows[1][0][0][1] = 3
-    # Large 1-D, non-finite and integer arrays are walked too.
+    # Large 1-D and integer arrays are walked too.
     payload = {
         "entries": entries,
         "rows": rows,
         "flat": np.linspace(0, 1, 3 * BLOCK_FLOATS),
-        "infinite": np.full(BLOCK_FLOATS + 1, -math.inf),
         "ints": np.arange(4 * BLOCK_FLOATS).reshape(2, -1),
     }
 
@@ -115,6 +129,11 @@ def test_dump_json_writes_a_large_grid_in_bounded_pieces():
     assert "".join(pieces) == oracle(payload)
     assert len(pieces) > 10
     assert max(map(len, pieces)) < 2 * WRITE_CHARS
+    # A row holding a NaN inside a grid walked row by row, and a large infinite array, are refused.
+    entries[0, 1, 5, 3, 0] = math.nan
+    for refused in ({"entries": entries}, {"infinite": np.full(BLOCK_FLOATS + 1, -math.inf)}):
+        with pytest.raises(ValueError):
+            dump_json(refused, io.StringIO())
 
 
 # Values a sparse grid holds besides +0.0; each must reach repr, -0.0 included.
@@ -207,9 +226,8 @@ def test_arrays_render_in_runs_of_rows(drawn):
         assert dumps_json({"entries": array}) == oracle({"entries": array})
     assert spy.call_count == _float_block_calls(array.shape)
     assert all(call.args[0].size <= BLOCK_FLOATS for call in spy.call_args_list)
-    # The run that holds a NaN falls back to json.dumps; the others do not.
+    # The run that holds a NaN falls back to json.dumps, which refuses it.
     with_nan = array.copy()
     with_nan.flat[nan_at] = math.nan
-    with mock.patch.object(reports, "_float_block", wraps=_float_block) as spy:
-        assert dumps_json({"entries": with_nan}) == oracle({"entries": with_nan})
-    assert spy.call_count == _float_block_calls(array.shape) - 1
+    with pytest.raises(ValueError):
+        dumps_json({"entries": with_nan})
