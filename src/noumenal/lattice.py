@@ -113,11 +113,13 @@ class SystemLattice:
         return self._global_dim
 
     def system(self, atom_ids: Iterable[int]) -> "System":
-        """The system spanning the given atoms."""
+        """The system spanning the given atoms, each listed once."""
         mask = 0
         for atom_id in atom_ids:
             if not 0 <= atom_id < self.n_atoms:
                 raise ValidationError(f"no atom with id {atom_id} in this lattice")
+            if mask >> atom_id & 1:
+                raise ValidationError(f"atom id {atom_id} is listed twice")
             mask |= 1 << atom_id
         return System(self, mask)
 

@@ -131,6 +131,12 @@ class UnitaryOperator:
             raise ValidationError("matrix is not unitary within TOL_UNITARY")
         object.__setattr__(self, "matrix", _frozen(matrix))
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, system: System) -> "UnitaryOperator":
+        trusted = object.__new__(cls)  # unitary by construction, as a product of validated gates
+        trusted.__dict__.update(matrix=_frozen(matrix), system=system)
+        return trusted
+
     @property
     def dim(self) -> int:
         return self.system.dim

@@ -170,11 +170,10 @@ def _chunks(value, depth: int):
     if kind is np.ndarray and value.size > BLOCK_FLOATS:
         rows = BLOCK_FLOATS // (value.size // len(value))
         if rows:
-            # A run is one block at this depth; runs share the array's outer
-            # brackets, so each drops its "[" and its closing "\n", indent, "]".
+            # Runs share the array's outer brackets; each writes its block's body.
             yield "["
             for start in range(0, len(value), rows):
-                yield ("," if start else "") + _block(value[start : start + rows], depth)[1 : -2 * depth - 2]
+                yield from ("," if start else "", _block(value[start : start + rows], depth, True))
             yield "\n" + "  " * depth + "]"
             return
         kind, value = list, list(value)
@@ -196,24 +195,26 @@ def _chunks(value, depth: int):
     yield "\n" + "  " * depth + brackets[1]
 
 
-def _block(value, depth: int) -> str:
-    """The text of a value that is not walked, at nesting ``depth``."""
+def _block(value, depth: int, body: bool = False) -> str:
+    """The text of a value that is not walked, at nesting ``depth``; ``body`` as in ``_float_block``."""
     if type(value) is np.ndarray and value.dtype == np.float64 and value.ndim and value.size and np.isfinite(value).all():
-        return _float_block(value, depth)
+        return _float_block(value, depth, body)
     # JSON strings never hold a raw newline, so every newline here is a line
     # break that json.dumps would indent by the enclosing depth.
     text = json.dumps(value, indent=2, default=np.ndarray.tolist, allow_nan=False)
-    return text.replace("\n", "\n" + "  " * depth)
+    text = text.replace("\n", "\n" + "  " * depth)
+    return text[1 : -2 * depth - 2] if body else text
 
 
-def _float_block(value: np.ndarray, depth: int) -> str:
-    """A non-empty finite float64 array of rank >= 1 rendered at ``depth``:
-    the cached all-zero text, with ``repr`` in place of ``"0.0"`` at each leaf
-    whose bits are not all zero, so ``-0.0`` is formatted and only ``+0.0`` is
-    skipped.  An all-zero block is the cached string itself."""
-    text, offsets = _zero_text(value.shape, depth)
+def _float_block(value: np.ndarray, depth: int, body: bool = False) -> str:
+    """A non-empty finite float64 array of rank >= 1 rendered at ``depth``
+    (with ``body``, inside its outer brackets only): the cached all-zero
+    text, with ``repr`` in place of ``"0.0"`` at each leaf whose bits are not
+    all zero, so ``-0.0`` is formatted and only ``+0.0`` is skipped.  An
+    all-zero block is the cached string itself."""
+    text, offsets = _zero_text(value.shape, depth, True) if body else _zero_text(value.shape, depth)
     flat = value.ravel()
-    leaves = np.flatnonzero(flat.view(np.uint64))
+    leaves = flat.view(np.uint64).nonzero()[0]
     if not leaves.size:
         return text
     pieces, end = [], 0
@@ -225,13 +226,15 @@ def _float_block(value: np.ndarray, depth: int) -> str:
 
 
 @functools.lru_cache(maxsize=128)
-def _zero_text(shape: tuple[int, ...], depth: int) -> tuple[str, np.ndarray]:
-    """The text of an all-zero float block of ``shape`` at ``depth``, and the
-    read-only offsets of its leaves' ``"0.0"``, in row-major order."""
+def _zero_text(shape: tuple[int, ...], depth: int, body: bool = False) -> tuple[str, np.ndarray]:
+    """The text of an all-zero float block of ``shape`` at ``depth``, or its
+    ``body``, and the read-only offsets of its leaves' ``"0.0"``, in row-major
+    order.  ``body`` is passed only when true, so no text has two keys."""
     text = "0.0"
     for level in reversed(range(len(shape))):
         inner = "\n" + "  " * (depth + level + 1)
         text = "[" + inner + ("," + inner).join([text] * shape[level]) + "\n" + "  " * (depth + level) + "]"
+    text = text[1 : -2 * depth - 2] if body else text
     # Each leaf holds the text's only kind of ".", one character in.
     offsets = np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == ord(".")) - 1
     offsets.flags.writeable = False

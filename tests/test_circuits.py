@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,14 +8,21 @@ from noumenal import (
     GATES,
     ParseError,
     SystemLattice,
+    UnitaryOperator,
     ValidationError,
     circuit_from_json,
+    embed_operator,
+    from_global_unitary,
+    haar_random_unitary,
     matrix_from_json,
     matrix_to_json,
     max_abs,
     simulate_circuit,
 )
+from noumenal import circuits, linalg
 from noumenal.circuits import GateApplication, _listed_order_permutation, gate_unitary
+from noumenal.cli import main
+from noumenal.linalg import TOL_EQ
 
 from conftest import digit_tuples
 
@@ -150,3 +158,89 @@ def test_default_track_is_global_system():
     del payload["track"]
     circuit = circuit_from_json(payload)
     assert [list(s.atom_ids) for s in circuit.track] == [[0, 1]]
+
+
+def haar_gate(rng, lattice, targets):
+    dim = int(np.prod([lattice.dims[t] for t in targets]))
+    return {"matrix": matrix_to_json(haar_random_unitary(dim, rng)), "targets": [int(t) for t in targets]}
+
+
+def entries_of(tracked) -> np.ndarray:
+    return tracked["evolution"]["entries"].view(np.complex128)[..., 0]
+
+
+def test_gates_are_checked_once_each_before_the_first_step(monkeypatch, rng, tmp_path, capsys):
+    lattice = SystemLattice.from_dims([2, 3, 2])
+    payload = {
+        "atoms": [{"id": i, "dim": d} for i, d in enumerate(lattice.dims)],
+        "gates": [haar_gate(rng, lattice, t) for t in ([1], [2, 0], [0, 1, 2], [0])],
+        "track": [[0], [1, 2], [0, 1, 2]],
+    }
+    # A non-unitary last gate exits 2 before any step is written.
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({**payload, "gates": [*payload["gates"], {"matrix": [[[1, 0]] * 2] * 2, "targets": [0]}]},
+                               default=np.ndarray.tolist))
+    assert main(["simulate", "--file", str(path), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    # A valid circuit checks each gate once, and never embeds one into a D x D
+    # matrix (embed_operator builds U ⊗ I through tensor_operators).
+    circuit = circuit_from_json(payload)
+    calls = {"is_unitary": 0, "embed_operator": 0, "tensor_operators": 0}
+
+    def spy(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    originals = {name: getattr(linalg, name) for name in calls}
+    for module in (linalg, circuits):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, originals[name]))
+    assert simulate_circuit(circuit)["passed"]
+    assert calls == {"is_unitary": len(circuit.gates), "embed_operator": 0, "tensor_operators": 0}
+
+
+def test_tracked_grids_follow_the_global_grid_over_a_long_circuit():
+    """Local updates accumulate rounding; after each of 240 Haar gates on
+    2x3x2, every tracked grid stays within TOL_EQ of the grid rebuilt from a
+    W accumulated densely, the old path, kept here as the oracle."""
+    rng = np.random.default_rng(5)
+    lattice = SystemLattice.from_dims([2, 3, 2])
+    gates = [haar_gate(rng, lattice, rng.permutation(3)[: rng.integers(1, 3)]) for _ in range(240)]
+    payload = {
+        "atoms": [{"id": i, "dim": d} for i, d in enumerate(lattice.dims)],
+        "gates": gates,
+        "track": [[1], [0, 2], [0, 1, 2]],
+    }
+    circuit = circuit_from_json(payload)
+    record = simulate_circuit(circuit)
+    assert record["passed"]
+    w = np.eye(lattice.global_dim, dtype=complex)
+    cases = set()
+    for gate, step in zip([None, *circuit.gates], record["steps"]):
+        if gate is not None:
+            unitary = gate_unitary(gate, circuit.lattice)
+            w = embed_operator(unitary.matrix, unitary.system) @ w
+        for system, tracked in zip(circuit.track, step["tracked"]):
+            if gate is not None:
+                cases.add(unitary.system.is_disjoint_from(system) + 2 * unitary.system.is_subsystem_of(system))
+            expected = from_global_unitary(UnitaryOperator(w, circuit.lattice.global_system), system).entries
+            assert max_abs(entries_of(tracked) - expected) <= TOL_EQ
+            assert tracked["cross_check_residual"] <= TOL_EQ
+    assert cases == {0, 1, 2}  # straddling, disjoint and contained gates all ran
+
+
+def test_a_disjoint_gate_emits_the_previous_grid_bitwise(rng):
+    lattice = SystemLattice.from_dims([2, 2, 2])
+    payload = {
+        "atoms": [{"id": i, "dim": 2} for i in range(3)],
+        "gates": [haar_gate(rng, lattice, [0, 1]), haar_gate(rng, lattice, [2]), haar_gate(rng, lattice, [2, 0])],
+        "track": [[0]],
+    }
+    steps = simulate_circuit(circuit_from_json(payload))["steps"]
+    grids = [entries_of(step["tracked"][0]) for step in steps]
+    assert grids[2].tobytes() == grids[1].tobytes()
+    assert grids[3].tobytes() != grids[2].tobytes() != grids[0].tobytes()

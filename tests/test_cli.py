@@ -140,6 +140,9 @@ def test_non_finite_tolerance_is_input_error(capsys, tol):
         (("verify", "--atoms", "2x2", "--trials", "3", "--law", "no_such_law", "--trial", "0"), None),
         (("verify", "--atoms", "2x2", "--trials", "3", "--law", "no_signalling", "--trial", "3"), None),
         (("verify", "--atoms", "2x2", "--trials", "3", "--law", "no_signalling", "--trial", "-1"), None),
+        (("simulate", "--track", "0,0"), None),
+        (("simulate",), [[0, 0]]),
+        (("demo", "no-signalling", "--bipartition", "0,0"), None),
     ],
 )
 def test_malformed_atom_ids_are_input_errors(capsys, tmp_path, argv, track):
@@ -183,6 +186,7 @@ NON_PSD = matrix_to_json(np.diag([1.5, -0.5, 0.0, 0.0]))
         # A label passes into the output as is: a bare NaN there is not JSON.
         ("atoms", [{"id": 0, "dim": 2, "label": float("nan")}, {"id": 1, "dim": 2}], "'label' must be a string"),
         ("atoms", [{"id": 0, "dim": 2, "label": 5}, {"id": 1, "dim": 2}], "'label' must be a string"),
+        ("track", [[1], [0, 1, 0]], "atom id 0 is listed twice"),
     ],
 )
 def test_malformed_circuit_files_are_input_errors(capsys, tmp_path, field, value, reason):

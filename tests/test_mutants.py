@@ -1,15 +1,18 @@
 """The standing mutant gate: a wrong kernel must fail a semantic check.
 
 Each mutant changes one kernel in-process with ``monkeypatch`` (no source is
-rewritten) and must be killed by one of two checks, never by a pinned hash:
+rewritten) and must be killed by one of three checks, never by a pinned hash:
 
 * ``laws_hold``: the law suite at 5 trials, seed 0, on 2x3 and on 2x2x2;
 * ``gate_rejects_closure_grid``: on 2x2, atom 0, the grid with
   ``e(0,0) = I`` and every other entry zero has the product residual of
   ``product_residual_oracle`` (1.0, all from the closure half), and the
-  consistency gate rejects it.
+  consistency gate rejects it;
+* ``simulate_cross_check_holds``: ``simulate`` on 2x3, a Haar-random
+  complex gate across both atoms and then one on atom 0, tracking each
+  atom, passes its cross-check of every grid against the evolved state.
 
-Both checks pass on the real kernels.  A kernel named in ``noumenal`` is
+All three checks pass on the real kernels.  A kernel named in ``noumenal`` is
 replaced wherever a ``noumenal`` module binds it, since modules import it by
 name.
 
@@ -23,7 +26,10 @@ real kernel:
   complement, and ``G_j† G_i`` does not change under it
   (``remote_unitary_invariance``);
 * the dense conjugation running its two passes in the other order: the grid
-  axes are contracted independently, so only rounding moves.
+  axes are contracted independently, so only rounding moves;
+* ``simulate`` acting on a grid with ``noumenal_action(U ⊗ I)`` after a gate
+  inside its system, instead of taking its rows of ``W``: both rules hold
+  for such a gate (``action_via_global``), so only rounding moves.
 """
 
 import sys
@@ -31,7 +37,8 @@ import sys
 import numpy as np
 import pytest
 
-from noumenal import SystemLattice, evolution, linalg, phenomenal
+from noumenal import SystemLattice, circuits, evolution, linalg, phenomenal
+from noumenal import circuit_from_json, haar_random_unitary, matrix_to_json, simulate_circuit
 from noumenal.evolution import CANONICAL, ConsistencyReport, EvolutionMatrix, OperatorMatrix
 from noumenal.laws import run_law_suite
 from noumenal.linalg import dagger, max_abs
@@ -52,6 +59,17 @@ def gate_rejects_closure_grid() -> bool:
     entries[0, 0] = np.eye(4)
     grid = OperatorMatrix(SystemLattice.from_dims([2, 2]).atom(0), entries)
     return evolution.product_residual(grid) == product_residual_oracle(entries) and not evolution.consistency_check(grid).ok
+
+
+def simulate_cross_check_holds() -> bool:
+    rng = np.random.default_rng(0)
+    circuit = circuit_from_json({
+        "atoms": [{"id": 0, "dim": 2}, {"id": 1, "dim": 3}],
+        "gates": [{"matrix": matrix_to_json(haar_random_unitary(6, rng)), "targets": [0, 1]},
+                  {"matrix": matrix_to_json(haar_random_unitary(2, rng)), "targets": [0]}],
+        "track": [[0], [1]],
+    })
+    return simulate_circuit(circuit)["passed"]
 
 
 def replace(monkeypatch, module, name: str, mutant) -> None:
@@ -146,6 +164,16 @@ def index_map_lists_b_first(monkeypatch):
     replace(monkeypatch, linalg, "index_map", lambda a, b: original(b, a).reshape(a.dim, b.dim))
 
 
+def state_columns_without_conj(monkeypatch):
+    rows = circuits._rows
+    replace(monkeypatch, circuits, "_conjugate_state", lambda x, rho, perm: rows(x, rows(x, rho, perm).T, perm).T)
+
+
+def straddling_gate_as_disjoint(monkeypatch):
+    original = circuits._next_grid
+    replace(monkeypatch, circuits, "_next_grid", lambda grid, u, w: original(grid, u, w) if u.system <= grid.system else grid)
+
+
 #: name -> (mutation, the check that kills it)
 MUTANTS = {
     "dense conjugation without conj": (conjugation_without_conj, laws_hold),
@@ -158,10 +186,12 @@ MUTANTS = {
     "factor partial trace in index_map(traced, keep) order": (factor_trace_in_traced_order, laws_hold),
     "lazy grid with the Gram order swapped": (gram_order_swapped, laws_hold),
     "index_map lists b's atoms first": (index_map_lists_b_first, laws_hold),
+    "simulate's state update without conj on the columns": (state_columns_without_conj, simulate_cross_check_holds),
+    "simulate's straddling gate handled as disjoint": (straddling_gate_as_disjoint, simulate_cross_check_holds),
 }
 
 
-@pytest.mark.parametrize("check", [laws_hold, gate_rejects_closure_grid])
+@pytest.mark.parametrize("check", [laws_hold, gate_rejects_closure_grid, simulate_cross_check_holds])
 def test_checks_pass_on_the_real_kernels(check):
     assert check()
 

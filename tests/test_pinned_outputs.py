@@ -23,7 +23,7 @@ PINNED = {
     "verify --atoms 2x2x2 --trials 20 --seed 3": "282f50c6563c0b57",
     "verify --atoms 2x2 --trials 5 --self-test-bug": "5786d9c827d6342d",
     "verify --atoms 2x2x2 --trials 100 --seed 0": "05b07a8cd472ae88",
-    "simulate --file perfbench/inputs/simulate-7q-seed0.json": "a26e52e4d14e731a",
+    "simulate --file perfbench/inputs/simulate-7q-seed0.json": "9f888fdbdcebed3c",
     "demo bell-incompleteness": "2a5d098cb0597639",
     "demo no-signalling --atoms 2x2x2x2x2 --trials 1": "6a500569976d1a5f",
 }

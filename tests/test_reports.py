@@ -102,7 +102,7 @@ def test_serialized_matrix_takes_the_level_renderer(monkeypatch):
     assert _float_block(grid, 1) is not None
     shapes = []
     monkeypatch.setattr(
-        reports, "_float_block", lambda value, depth: shapes.append(value.shape) or _float_block(value, depth)
+        reports, "_float_block", lambda value, depth, *body: shapes.append(value.shape) or _float_block(value, depth, *body)
     )
     assert dumps_json({"grid": grid}) == oracle({"grid": grid})
     assert shapes == [grid.shape]
