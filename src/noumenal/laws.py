@@ -9,7 +9,10 @@ it alone.  Trials that drew the same systems are evaluated together, as one
 batch of stacked inputs; a trial's residual is the same in any batch.  A law
 draws its operators and states through :class:`_TrialContext`, which records
 each draw under its name, and returns only residuals; a failing law's
-counterexample holds its worst trial's systems and every named draw.
+counterexample holds its worst trial's systems and every named draw.  A grid
+built from a global operation runs the factor kernels; a side that must run
+the dense ones says so with :func:`_raw`.  ``tests/test_kernel_coverage.py``
+holds the table of the kernel forms each law runs.
 
 ``inject_bug=True`` perturbs one entry of every grid built from a global
 operation by ``1e-3``; this is a self-test of the harness and must make at
@@ -79,9 +82,9 @@ LAW_SUITE_MAX_DIM = 32
 #: Size of the entry perturbation applied in bug-injection mode.
 BUG_PERTURBATION = 1e-3
 
-#: Cap on one batch's grid bytes on the union of its systems, ``B·d²·D²·16`` (at least one trial): six
-#: global grids at D = 8.  A batch holds at most ~3.3 grids at once; glibc trims the heap only when twice its
-#: largest freed block (a ``_halves`` pair) is free, so batches reuse their pages.  512 KiB cost 1.6 MB more RSS.
+#: Cap on one batch's grid bytes on the union of its systems, ``B·d²·D²·16`` (at least one trial): six global grids
+#: at D = 8.  Their ~3.3 grids alive at once outgrow glibc's trim threshold, so the heap is trimmed and regrown (1.3k–3.5k
+#: minor faults per ``verify 2x2x2 --trials 100``, ~10 at 256 KiB) at no cost harness pairs saw.  512 KiB: +1.6 MB RSS.
 BATCH_GRID_BYTES = 384 * 1024
 
 #: Trials whose generators are alive at once; batches form within a chunk.
@@ -125,14 +128,9 @@ def _three_split(lattice: SystemLattice, rng: np.random.Generator) -> tuple[Syst
     return tuple(System(lattice, mask) for mask in _labelled_masks(lattice, rng, 4, 3))
 
 
-def _halves(pair: OperatorMatrix, *tags: str) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """The two grids of a pair built by one kernel call: views of one block, twice a grid's size."""
-    return tuple(OperatorMatrix(pair.system, half, tag) for half, tag in zip(pair.entries, tags or [pair.basis_tag] * 2))
-
-
 def _raw(n: OperatorMatrix) -> OperatorMatrix:
-    """A grid's dense entries as a raw grid, whose operations run the dense kernels.  The partial-trace
-    laws trace one side so: factored, both sides would be row takes of one ``W``, equal bit for bit."""
+    """A grid's dense entries as a raw grid, whose operations run the dense kernels.  A law whose two sides
+    would both run the factor kernels passes one side's input through here, so that the sides run different ones."""
     return OperatorMatrix(n.system, n.entries, n.basis_tag)
 
 
@@ -316,24 +314,21 @@ def _law_no_signalling(ctx: _TrialContext, a: System, b: System):
 def _law_remote_unitary_invariance(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     v = ctx.haar_on("v", a.complement())
-    moved = embed_operator(v.matrix, v.system) @ w.matrix
-    return noumenal_distance(*_halves(ctx.evolution(UnitaryOperator(np.stack([w.matrix, moved]), w.system), a)))
+    moved = UnitaryOperator(embed_operator(v.matrix, v.system) @ w.matrix, w.system)
+    return noumenal_distance(ctx.evolution(w, a), ctx.evolution(moved, a))
 
 
 def _law_action_via_global(ctx: _TrialContext, a: System):
     w = ctx.haar_global()
     u = ctx.haar_on("u", a)
-    lifted = embed_operator(u.matrix, a) @ w.matrix
-    state, rebuilt = _halves(ctx.evolution(UnitaryOperator(np.stack([w.matrix, lifted]), w.system), a))
-    return noumenal_distance(noumenal_action(u, state), rebuilt)
+    lifted = UnitaryOperator(embed_operator(u.matrix, a) @ w.matrix, w.system)
+    return noumenal_distance(noumenal_action(u, _raw(ctx.evolution(w, a))), ctx.evolution(lifted, a))
 
 
 def _law_action_composition(ctx: _TrialContext, a: System):
     state = ctx.evolution(ctx.haar_global(), a)
     u, v = ctx.haar_on("u", a), ctx.haar_on("v", a)
-    composite, first = _halves(noumenal_action(UnitaryOperator(np.stack([v.matrix @ u.matrix, u.matrix]), a), state))
-    del state  # so at most three grids are alive at once
-    return noumenal_distance(composite, noumenal_action(v, first))
+    return noumenal_distance(noumenal_action(v @ u, state), noumenal_action(v, _raw(noumenal_action(u, state))))
 
 
 def _law_action_identity(ctx: _TrialContext, a: System):
@@ -429,10 +424,10 @@ def _law_basis_change_identity(ctx: _TrialContext, a: System):
 
 def _law_basis_change_composition(ctx: _TrialContext, a: System):
     state = ctx.evolution(ctx.haar_global(), a)
+    eye = np.eye(a.dim)
     b2, b3 = ctx.basis("b2", a), ctx.basis("b3", a)
-    mid, direct = _halves(change_of_basis(state, np.eye(a.dim), np.stack([b2, b3]), "end"), "mid", "end")
-    del state  # so at most three grids are alive at once
-    return noumenal_distance(change_of_basis(mid, b2, b3, "end"), direct)
+    mid = change_of_basis(state, eye, b2, "mid")
+    return noumenal_distance(change_of_basis(_raw(mid), b2, b3, "end"), change_of_basis(state, eye, b3, "end"))
 
 
 def _law_basis_change_round_trip(ctx: _TrialContext, a: System):
@@ -443,18 +438,13 @@ def _law_basis_change_round_trip(ctx: _TrialContext, a: System):
 
 
 # ---------------------------------------------------------------------------
-# Grid consistency (the defining signature of evolution matrices).
+# The registry: grid consistency (the defining signature of evolution matrices) first.
 # ---------------------------------------------------------------------------
 
-def _consistency_law(residual: Callable[[OperatorMatrix], float | np.ndarray]):
-    """A law check on one consistency residual of a random grid."""
-    return lambda ctx, a: residual(ctx.evolution(ctx.haar_global(), a))
-
-
 LAWS: tuple[Law, ...] = (
-    Law("grid_conjugate_pairing", "grid entries pair up as conjugate transposes", _consistency_law(pairing_residual), _subsystem),
-    Law("grid_operator_products", "grid entries multiply with the index-contraction rule", _consistency_law(product_residual), _subsystem),
-    Law("grid_trace_completeness", "diagonal grid entries sum to the identity", _consistency_law(trace_residual), _subsystem),
+    Law("grid_conjugate_pairing", "grid entries pair up as conjugate transposes", lambda ctx, a: pairing_residual(ctx.evolution(ctx.haar_global(), a)), _subsystem),
+    Law("grid_operator_products", "grid entries multiply with the index-contraction rule", lambda ctx, a: product_residual(ctx.evolution(ctx.haar_global(), a)), _subsystem),
+    Law("grid_trace_completeness", "diagonal grid entries sum to the identity", lambda ctx, a: trace_residual(ctx.evolution(ctx.haar_global(), a)), _subsystem),
     Law("remote_unitary_invariance", "operations on the complement leave the local state unchanged", _law_remote_unitary_invariance, partial(_subsystem, low=0)),
     Law("action_via_global", "acting locally equals rebuilding from the lifted global operation", _law_action_via_global, _subsystem),
     Law("action_composition", "acting with a composite equals acting in sequence", _law_action_composition, _subsystem),

@@ -363,7 +363,14 @@ def test_batch_size_never_changes_a_report(lat222, monkeypatch):
 
 @pytest.mark.parametrize(
     "law_id",
-    ["action_composition", "basis_change_direct_construction", "basis_change_composition", "partial_trace_surjectivity"],
+    [
+        "remote_unitary_invariance",
+        "action_via_global",
+        "action_composition",
+        "basis_change_direct_construction",
+        "basis_change_composition",
+        "partial_trace_surjectivity",
+    ],
 )
 def test_heaviest_laws_hold_few_grids_per_batch(lat222, monkeypatch, law_id):
     """A batch's traced peak stays under 3.5 of its grids (the union grid of

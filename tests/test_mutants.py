@@ -1,18 +1,22 @@
 """The standing mutant gate: a wrong kernel must fail a semantic check.
 
 Each mutant changes one kernel in-process with ``monkeypatch`` (no source is
-rewritten) and must be killed by one of three checks, never by a pinned hash:
+rewritten) and must be killed by one of four checks, never by a pinned hash:
 
 * ``laws_hold``: the law suite at 5 trials, seed 0, on 2x3 and on 2x2x2;
 * ``gate_rejects_closure_grid``: on 2x2, atom 0, the grid with
   ``e(0,0) = I`` and every other entry zero has the product residual of
   ``product_residual_oracle`` (1.0, all from the closure half), and the
   consistency gate rejects it;
+* ``self_test_fails_grid_laws``: the law suite at 5 trials, seed 0, on 2x2
+  with ``inject_bug=True`` fails all three grid-consistency laws.  Each law
+  calls its residual by the name the ``laws`` module binds, so the
+  ``trace_residual * 0`` and ``pairing_residual * 0`` mutants reach it;
 * ``simulate_cross_check_holds``: ``simulate`` on 2x3, a Haar-random
   complex gate across both atoms and then one on atom 0, tracking each
   atom, passes its cross-check of every grid against the evolved state.
 
-All three checks pass on the real kernels.  A kernel named in ``noumenal`` is
+All four checks pass on the real kernels.  A kernel named in ``noumenal`` is
 replaced wherever a ``noumenal`` module binds it, since modules import it by
 name.
 
@@ -59,6 +63,11 @@ def gate_rejects_closure_grid() -> bool:
     entries[0, 0] = np.eye(4)
     grid = OperatorMatrix(SystemLattice.from_dims([2, 2]).atom(0), entries)
     return evolution.product_residual(grid) == product_residual_oracle(entries) and not evolution.consistency_check(grid).ok
+
+
+def self_test_fails_grid_laws() -> bool:
+    reports = run_law_suite(SystemLattice.from_dims([2, 2]), 5, seed=0, inject_bug=True)
+    return not any(report.passed for report in reports if report.law_id.startswith("grid_"))
 
 
 def simulate_cross_check_holds() -> bool:
@@ -128,6 +137,14 @@ def product_residual_without_closure(monkeypatch):
     replace(monkeypatch, evolution, "product_residual", mutant)
 
 
+def residual_times_zero(name: str):
+    def mutate(monkeypatch):
+        original = getattr(evolution, name)
+        replace(monkeypatch, evolution, name, lambda m: original(m) * 0)
+
+    return mutate
+
+
 def gate_against_one(monkeypatch):
     def ok(report):
         worst = np.maximum(np.maximum(report.pairing_residual, report.product_residual), report.trace_residual)
@@ -182,6 +199,8 @@ MUTANTS = {
     "phi without the transpose": (phi_without_transpose, laws_hold),
     "product_residual without its closure half": (product_residual_without_closure, gate_rejects_closure_grid),
     "ConsistencyReport.ok against 1.0": (gate_against_one, gate_rejects_closure_grid),
+    "trace_residual * 0": (residual_times_zero("trace_residual"), self_test_fails_grid_laws),
+    "pairing_residual * 0": (residual_times_zero("pairing_residual"), self_test_fails_grid_laws),
     "factor action with x.conj()": (factor_action_with_conj, laws_hold),
     "factor partial trace in index_map(traced, keep) order": (factor_trace_in_traced_order, laws_hold),
     "lazy grid with the Gram order swapped": (gram_order_swapped, laws_hold),
@@ -191,7 +210,7 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("check", [laws_hold, gate_rejects_closure_grid, simulate_cross_check_holds])
+@pytest.mark.parametrize("check", [laws_hold, gate_rejects_closure_grid, self_test_fails_grid_laws, simulate_cross_check_holds])
 def test_checks_pass_on_the_real_kernels(check):
     assert check()
 
