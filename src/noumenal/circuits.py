@@ -215,6 +215,8 @@ def simulate_circuit(circuit: Circuit, tol: float = TOL_EQ) -> dict:
     lattice = circuit.lattice
     s = lattice.global_system
     gates = [(gate, gate_unitary(gate, lattice)) for gate in circuit.gates]
+    if not circuit.track:  # a run that tracks nothing checks nothing, and must not pass
+        raise ValidationError("'track' is empty: no system would be checked")
     w = UnitaryOperator._trusted(np.eye(lattice.global_dim, dtype=np.complex128), s)
     rho = circuit.anchor.matrix
     grids = [from_global_unitary(w, system) for system in circuit.track]

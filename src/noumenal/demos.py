@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ScenarioPreconditionFailed, SizeBoundExceeded
+from .errors import ScenarioPreconditionFailed
 from .evolution import (
     EvolutionMatrix,
     OperatorMatrix,
@@ -38,7 +38,7 @@ from .linalg import (
     random_density_matrix,
     tensor_operators,
 )
-from .laws import LAW_SUITE_MAX_DIM, no_action_residual, no_signalling_residual
+from .laws import no_action_residual, no_signalling_residual, require_law_suite_dim
 from .phenomenal import basis_state_vector, default_anchor, phi_matrix
 from .reports import ScenarioResult
 
@@ -210,10 +210,7 @@ def no_signalling_demo(
     joint evolutions, local operations and states measures the residuals of
     the noumenal and phenomenal no-influence laws.
     """
-    if lattice.global_dim > LAW_SUITE_MAX_DIM:
-        raise SizeBoundExceeded(
-            f"demo is limited to global dimension {LAW_SUITE_MAX_DIM}, got {lattice.global_dim}"
-        )
+    require_law_suite_dim(lattice, "demo")
     a_sys = lattice.atom(0) if a_atoms is None else lattice.system(a_atoms)
     if a_sys.is_empty or a_sys.is_global:
         raise ScenarioPreconditionFailed("the bipartition needs a non-trivial system")

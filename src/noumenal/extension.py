@@ -22,7 +22,7 @@ from .evolution import (
     noumenal_product,
 )
 from .lattice import System
-from .linalg import TOL_EQ, DensityOperator, UnitaryOperator, max_abs, tensor_operators
+from .linalg import TOL_EQ, DensityOperator, UnitaryOperator, matrix_from_json, matrix_to_json, max_abs, tensor_operators
 from .phenomenal import phi
 
 
@@ -42,14 +42,10 @@ class ExtendedNoumenalState:
         return self.n.system
 
     def to_json(self) -> dict:
-        from .linalg import matrix_to_json
-
         return {"noumenal": self.n.to_json(), "anchor_rho": matrix_to_json(self.rho.matrix)}
 
     @classmethod
     def from_json(cls, lattice, payload: dict) -> "ExtendedNoumenalState":
-        from .linalg import matrix_from_json
-
         n = EvolutionMatrix.from_json(lattice, payload["noumenal"])
         rho = DensityOperator(matrix_from_json(payload["anchor_rho"]), lattice.global_system)
         rho.validate_psd()

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import NoumenalError, SizeBoundExceeded, ValidationError
 from .evolution import (
     CANONICAL,
-    EvolutionMatrix,
     OperatorMatrix,
     change_of_basis,
     from_global_unitary,
@@ -89,6 +88,12 @@ BATCH_GRID_BYTES = 384 * 1024
 
 #: Trials whose generators are alive at once; batches form within a chunk.
 TRIAL_CHUNK = 256
+
+
+def require_law_suite_dim(lattice: SystemLattice, what: str) -> None:
+    """Refuse a lattice above :data:`LAW_SUITE_MAX_DIM` for ``what``: the law suite, or the no-signalling demo."""
+    if lattice.global_dim > LAW_SUITE_MAX_DIM:
+        raise SizeBoundExceeded(f"{what} is limited to global dimension {LAW_SUITE_MAX_DIM}, got {lattice.global_dim}")
 
 
 def _subsystem(lattice: SystemLattice, rng: np.random.Generator, low: int = 1) -> tuple[System]:
@@ -188,12 +193,12 @@ class _TrialContext:
 
         return self._record("target", DensityOperator(draw_each(self.rngs, draw), system))
 
-    def evolution(self, w: UnitaryOperator, system: System) -> EvolutionMatrix:
+    def evolution(self, w: UnitaryOperator, system: System) -> OperatorMatrix:
         n = from_global_unitary(w, system)
         if self.inject_bug:
             entries = n.entries.copy()
             entries[..., 0, 0, 0, 1] += BUG_PERTURBATION
-            n = EvolutionMatrix._trusted(system, entries, CANONICAL)
+            n = OperatorMatrix(system, entries)
         return n
 
 
@@ -564,11 +569,7 @@ def run_law_suite(
     and those of a chunk that drew the same systems run in batches whose
     grid stays within :data:`BATCH_GRID_BYTES`.
     """
-    if lattice.global_dim > LAW_SUITE_MAX_DIM:
-        raise SizeBoundExceeded(
-            f"law suite is limited to global dimension {LAW_SUITE_MAX_DIM}, "
-            f"got {lattice.global_dim}"
-        )
+    require_law_suite_dim(lattice, "law suite")
     if law_id is not None and law_id not in [law.law_id for law in LAWS]:
         raise ValidationError(f"no law named {law_id!r}")
     if trial is not None and not 0 <= trial < trials:

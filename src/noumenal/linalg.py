@@ -137,10 +137,6 @@ class UnitaryOperator:
         trusted.__dict__.update(matrix=_frozen(matrix), system=system)
         return trusted
 
-    @property
-    def dim(self) -> int:
-        return self.system.dim
-
     def compose(self, other: "UnitaryOperator") -> "UnitaryOperator":
         """``self @ other``: do ``other`` first, then ``self``."""
         if self.system != other.system:
@@ -176,10 +172,6 @@ class DensityOperator:
         if trace_gap > TOL_EQ:
             raise ValidationError(f"density matrix trace differs from 1 by {trace_gap:.3g}")
         object.__setattr__(self, "matrix", _frozen(matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.system.dim
 
     def purity(self) -> float | np.ndarray:
         return np.trace(self.matrix @ self.matrix, axis1=-2, axis2=-1).real

@@ -131,6 +131,12 @@ def test_explicit_matrix_gate_must_be_unitary():
         simulate_circuit(circuit_from_json(payload))
 
 
+def test_empty_track_is_refused_before_the_first_step():
+    # Tracking nothing would check nothing and still pass.
+    with pytest.raises(ValidationError, match="'track' is empty"):
+        simulate_circuit(circuit_from_json(two_qubit_payload(gates=[{"name": "H", "targets": [0]}], track=[])))
+
+
 def test_mixed_initial_state_supported(rng):
     from noumenal import random_density_matrix
 
@@ -151,6 +157,14 @@ def test_parse_errors():
         circuit_from_json(two_qubit_payload(gates=[{"name": "CNOT", "targets": [0]}]))
     with pytest.raises(ParseError):
         circuit_from_json(two_qubit_payload(gates=[{"targets": [0]}]))
+    with pytest.raises(ParseError, match="string initial states must look like"):
+        circuit_from_json(two_qubit_payload(initial_state="|00>"))
+    with pytest.raises(ParseError, match="digit 2 out of range"):  # a ValidationError inside, read as a parse error
+        circuit_from_json(two_qubit_payload(initial_state="pure:|02>"))
+    with pytest.raises(ParseError, match="gate target -1 is not an atom id"):
+        circuit_from_json(two_qubit_payload(gates=[{"name": "X", "targets": [-1]}]))
+    with pytest.raises(ParseError, match="must be a JSON object"):
+        circuit_from_json([1, 2])
 
 
 def test_default_track_is_global_system():

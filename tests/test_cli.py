@@ -187,6 +187,11 @@ NON_PSD = matrix_to_json(np.diag([1.5, -0.5, 0.0, 0.0]))
         ("atoms", [{"id": 0, "dim": 2, "label": float("nan")}, {"id": 1, "dim": 2}], "'label' must be a string"),
         ("atoms", [{"id": 0, "dim": 2, "label": 5}, {"id": 1, "dim": 2}], "'label' must be a string"),
         ("track", [[1], [0, 1, 0]], "atom id 0 is listed twice"),
+        ("track", [[2]], "no atom with id 2"),
+        ("track", [], "'track' is empty"),
+        ("initial_state", "|00>", "must look like 'pure:|01>'"),
+        ("initial_state", "pure:|02>", "digit 2 out of range"),
+        ("gates", [{"name": "X", "targets": [-1]}], "gate target -1 is not an atom id"),
     ],
 )
 def test_malformed_circuit_files_are_input_errors(capsys, tmp_path, field, value, reason):
@@ -204,6 +209,8 @@ def test_demo_bad_lattice_is_input_error(capsys):
     code, _, err = run_cli(capsys, "demo", "bell-incompleteness", "--atoms", "2x3")
     assert code == 2
     assert "two qubit atoms" in err
+    code, out, err = run_cli(capsys, "demo", "no-signalling", "--atoms", "2x2x2x2x2x2", "--trials", "1")
+    assert (code, out, err) == (2, "", "error: demo is limited to global dimension 32, got 64\n")
 
 
 def test_simulate_bell_file(capsys, bell_file):
@@ -400,8 +407,8 @@ def _must_reject(field, value) -> bool:
         return bool(np.abs(matrix @ matrix.conj().T - np.eye(2)).max() > 1e-6)
     if value is None:  # the field's default
         return False
-    if field == "track":
-        return not isinstance(value, list) or any(not_ids(ids) for ids in value)
+    if field == "track":  # an empty list would track, and so check, nothing
+        return not isinstance(value, list) or not value or any(not_ids(ids) for ids in value)
     if field == "gates":
         return not isinstance(value, list) or any(
             not isinstance(entry, dict) or not_ids(entry.get("targets")) for entry in value
@@ -429,6 +436,7 @@ def _must_reject(field, value) -> bool:
 @example(drawn=("track", [[math.inf]]))
 @example(drawn=("gates", 5))
 @example(drawn=("track", "01"))
+@example(drawn=("track", []))
 @example(drawn=("initial_state", NON_PSD))
 @example(drawn=("initial_state", [[[0.0, math.inf]]]))
 @example(drawn=(0, [0.7]))

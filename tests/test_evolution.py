@@ -11,6 +11,7 @@ from noumenal import (
     EvolutionMatrix,
     NotGlobalOperator,
     NotOrthonormal,
+    NotSubsystem,
     OperatorMatrix,
     ParseError,
     System,
@@ -218,6 +219,8 @@ def test_trace_everything_gives_empty_grid(lat22, rng):
     assert empty.system.is_empty
     assert empty.entries.shape == (1, 1, 4, 4)
     assert max_abs(empty.entry(0, 0) - np.eye(4)) < 1e-12
+    with pytest.raises(NotSubsystem):
+        noumenal_partial_trace(from_global_unitary(w, lat22.atom(0)), lat22.atom(1))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +410,8 @@ def test_basis_change_rejects_non_orthonormal(lat22, rng):
     n = from_global_unitary(global_haar(lat22, rng), lat22.atom(0))
     with pytest.raises(NotOrthonormal):
         change_of_basis(n, np.eye(2), np.ones((2, 2)), "target")
+    with pytest.raises(DimensionMismatch, match="target basis is"):
+        change_of_basis(n, np.eye(2), np.eye(4), "target")
 
 
 def test_basis_change_checks_declared_source_basis(lat22, rng):
@@ -425,6 +430,10 @@ def test_non_canonical_grids_do_not_mix(lat22, rng):
     u = haar_unitary(a, rng)
     with pytest.raises(BasisMismatch):
         noumenal_action(u, rotated)
+    with pytest.raises(BasisMismatch):
+        noumenal_partial_trace(rotated, lat22.empty_system)
+    with pytest.raises(BasisMismatch):
+        noumenal_product(rotated, identity_evolution(lat22.atom(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +491,9 @@ def test_equality_is_reflexive_and_system_checked(lat22, rng):
     other = from_global_unitary(global_haar(lat22, rng), lat22.atom(1))
     with pytest.raises(SystemMismatch):
         noumenal_equal(n, other)
+    pair = OperatorMatrix(n.system, np.stack([n.entries, n.entries]))
+    with pytest.raises(DimensionMismatch, match="batches of shapes"):
+        noumenal_distance(n, pair)
 
 
 def test_grid_json_round_trip(lat23, rng):

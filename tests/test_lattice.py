@@ -114,6 +114,10 @@ def test_atom_validation():
         SystemLattice.from_dims([2, 1])
     with pytest.raises(ValidationError):
         SystemLattice([AtomSpec(1, 2)])  # ids must start at 0
+    with pytest.raises(ValidationError, match="labels must match dims"):
+        SystemLattice.from_dims([2, 2], labels=["A"])
+    with pytest.raises(ValidationError, match="no atom with id 2"):
+        SystemLattice.from_dims([2, 2]).system([2])
 
 
 def test_size_bounds():
@@ -129,6 +133,9 @@ def test_dim_bound_env_override(monkeypatch):
     monkeypatch.setenv("NOUMENAL_MAX_DIM", "8")
     with pytest.raises(SizeBoundExceeded):
         SystemLattice.from_dims([2, 2, 2, 2])
+    monkeypatch.setenv("NOUMENAL_MAX_DIM", "8.5")
+    with pytest.raises(ValidationError, match="must be an integer"):
+        SystemLattice.from_dims([2, 2])
 
 
 def test_operator_shorthands(lat222):
@@ -152,6 +159,8 @@ def test_system_is_immutable(lat222):
     for name in ("lattice", "mask", "atom_ids", "atom_dims", "dim", "other"):
         with pytest.raises(AttributeError):
             setattr(a, name, 1)
+    with pytest.raises(AttributeError, match="cannot delete 'mask'"):
+        del a.mask
     assert (a.mask, a.atom_ids, a.atom_dims, a.dim) == (0b101, (0, 2), (2, 2), 4)
 
 

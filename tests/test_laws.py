@@ -22,6 +22,7 @@ from noumenal import (
     System,
     ValidationError,
     laws,
+    no_signalling_demo,
     render_law_table,
     run_law_suite,
 )
@@ -134,8 +135,10 @@ def test_suite_is_deterministic(lat23):
 
 def test_suite_rejects_oversized_lattices():
     lattice = SystemLattice.from_dims([2] * 6)  # dim 64 > suite bound
-    with pytest.raises(SizeBoundExceeded):
+    with pytest.raises(SizeBoundExceeded, match="^law suite is limited"):
         run_law_suite(lattice, trials=1, seed=0)
+    with pytest.raises(SizeBoundExceeded, match="^demo is limited"):  # the demo shares the check
+        no_signalling_demo(lattice, trials=1, seed=0)
 
 
 @pytest.mark.parametrize("dims", [[2], [3, 3], [2, 2, 2, 2], [4, 2]])

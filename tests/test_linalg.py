@@ -14,6 +14,7 @@ from noumenal import (
     ParseError,
     System,
     SystemLattice,
+    SystemMismatch,
     UnitaryOperator,
     ValidationError,
     embed_operator,
@@ -309,6 +310,8 @@ def test_haar_dim_one_is_phase(rng):
     u = haar_random_unitary(1, rng)
     assert u.shape == (1, 1)
     assert abs(abs(u[0, 0]) - 1.0) < 1e-12
+    with pytest.raises(ValidationError, match="dimension must be >= 1"):
+        haar_random_unitary(0, rng)
 
 
 def test_haar_is_unitary(rng):
@@ -327,8 +330,12 @@ def test_unitary_operator_validation(lat22, rng):
         UnitaryOperator(np.ones((2, 2)), lat22.atom(0))
     with pytest.raises(DimensionMismatch):
         UnitaryOperator(np.eye(3), lat22.atom(0))
+    with pytest.raises(DimensionMismatch, match="expected a matrix"):
+        UnitaryOperator(np.ones(2), lat22.atom(0))
     u = UnitaryOperator(haar_random_unitary(2, rng), lat22.atom(0))
     assert not u.matrix.flags.writeable
+    with pytest.raises(SystemMismatch):
+        u @ UnitaryOperator(np.eye(2), lat22.atom(1))
 
 
 def test_density_operator_validation(lat22):

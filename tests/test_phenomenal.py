@@ -52,6 +52,10 @@ def test_basis_state_vector_follows_index_map(lat232):
         basis_state_vector(lat232.global_system, (0, 1))
     with pytest.raises(ValidationError, match="digit 3 out of range for atom of dim 3"):
         basis_state_vector(lat232.global_system, (0, 3, 0))
+    with pytest.raises(DimensionMismatch, match="vector of length 2"):
+        pure_density(lat232.global_system, np.array([1.0, 0.0]))
+    with pytest.raises(ValidationError, match="state vector has norm 2"):
+        pure_density(lat232.atom(0), np.array([2.0, 0.0]))
 
 
 def bell_vector(lattice, parity):
