@@ -217,6 +217,8 @@ def simulate_circuit(circuit: Circuit, tol: float = TOL_EQ) -> dict:
     gates = [(gate, gate_unitary(gate, lattice)) for gate in circuit.gates]
     if not circuit.track:  # a run that tracks nothing checks nothing, and must not pass
         raise ValidationError("'track' is empty: no system would be checked")
+    if any(system.is_empty for system in circuit.track):  # its 1x1 grid checks only tr ρ₀ = 1
+        raise ValidationError("'track' has an empty entry: it would check only tr ρ₀ = 1")
     w = UnitaryOperator._trusted(np.eye(lattice.global_dim, dtype=np.complex128), s)
     rho = circuit.anchor.matrix
     grids = [from_global_unitary(w, system) for system in circuit.track]

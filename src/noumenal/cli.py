@@ -45,11 +45,7 @@ def _parse_dims(text: str) -> list[int]:
 
 
 def _parse_track(text: str) -> list[list[int]]:
-    groups = []
-    for group in text.split(";"):
-        group = group.strip()
-        groups.append(_parse_ints(group, ",", "--track", "0;0,1") if group else [])
-    return groups
+    return [_parse_ints(group.strip(), ",", "--track", "0;0,1") for group in text.split(";")]
 
 
 def _emit(payload: dict, text: str, fmt: str) -> None:
@@ -70,7 +66,6 @@ def _validate_config(args: argparse.Namespace) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _validate_config(args)
     circuit = load_circuit(args.file)
     if args.track is not None:
         circuit.track = [circuit.lattice.system(ids) for ids in _parse_track(args.track)]
@@ -90,12 +85,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _validate_config(args)
     lattice = SystemLattice.from_dims(_parse_dims(args.atoms))
     reports = run_law_suite(
         lattice, args.trials, args.seed, args.tol, args.self_test_bug, args.law, args.trial
     )
-    passed = not any(report.passed is False for report in reports)
+    verdicts = {report.passed for report in reports}  # all None: no law ran, so nothing passed
+    passed = None if verdicts <= {None} else False not in verdicts
     payload = {
         "command": "verify",
         "atoms": list(lattice.dims),
@@ -107,11 +102,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "passed": passed,
     }
     _emit(payload, render_law_table(reports), args.format)
-    return EXIT_PASS if passed else EXIT_FAIL
+    return EXIT_FAIL if passed is False else EXIT_PASS
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    _validate_config(args)
     lattice = SystemLattice.from_dims(_parse_dims(args.atoms))
     if args.name == "bell-incompleteness":
         result = bell_incompleteness_demo(lattice)
@@ -177,6 +171,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
+        _validate_config(args)
         return args.handler(args)
     except NoumenalError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ScenarioPreconditionFailed
 from .evolution import (
-    EvolutionMatrix,
     OperatorMatrix,
     change_of_basis,
     from_global_unitary,
@@ -121,10 +120,10 @@ def bell_incompleteness_demo(
         eye2, eye4 = np.eye(2), np.eye(4)
         tag = "rotated"
 
-        def rotate_local(n: OperatorMatrix) -> EvolutionMatrix:
+        def rotate_local(n: OperatorMatrix) -> OperatorMatrix:
             return change_of_basis(n, eye2, basis_a, tag)
 
-        def rotate_joint(n: OperatorMatrix) -> EvolutionMatrix:
+        def rotate_joint(n: OperatorMatrix) -> OperatorMatrix:
             return change_of_basis(n, eye4, basis_s, tag)
 
         joint, joint_flip_one, joint_flip_both = map(

@@ -7,7 +7,7 @@ built from ``W`` holds its Gram factor ``G``, the rows of ``W`` grouped by the
 index of ``A``: shape ``(d, D/d, D)`` for ``A`` of dimension ``d`` in global
 dimension ``D``, with ``entry(i, j) = G_j† G_i``.  Actions multiply ``G`` and
 partial traces take its rows; the dense ``(d, d, D, D)`` entries form on first
-read.  Raw grids (from JSON, perturbed, products) hold only those and run the
+read.  Unfactored grids (from JSON, perturbed, dense-kernel results) run the
 dense kernels.  Leading axes hold a batch of grids, one per law-suite trial.
 
 Three algebraic laws characterize such grids and are used as the consistency
@@ -105,9 +105,9 @@ class OperatorMatrix:
 class EvolutionMatrix(OperatorMatrix):
     """An operator grid satisfying the evolution-matrix consistency laws.
 
-    Constructing one directly runs :func:`consistency_check`; the functions
-    that produce grids guaranteed valid by construction build them through
-    :meth:`_trusted` or :meth:`_factored`, which skip it.
+    Exactly two kinds exist: a grid that passed :func:`consistency_check` (the
+    constructor, :meth:`from_json`), or one holding a Gram factor (:meth:`_factored`),
+    valid by construction.  Every dense-kernel result is a raw :class:`OperatorMatrix`.
     """
 
     def __init__(self, system: System, entries: np.ndarray, basis_tag: str = CANONICAL):
@@ -115,12 +115,6 @@ class EvolutionMatrix(OperatorMatrix):
         report = consistency_check(self)
         if not report.ok:
             raise CompatibilityViolation(f"grid fails the evolution-matrix laws: {report.residuals()}")
-
-    @classmethod
-    def _trusted(cls, system: System, entries: np.ndarray, basis_tag: str) -> "EvolutionMatrix":
-        trusted = cls.__new__(cls)
-        OperatorMatrix.__init__(trusted, system, entries, basis_tag)
-        return trusted
 
     @classmethod
     def _factored(cls, system: System, factor: np.ndarray, basis_tag: str) -> "EvolutionMatrix":
@@ -228,11 +222,11 @@ def _conjugate(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transform(x: np.ndarray, n: OperatorMatrix, basis_tag: str) -> EvolutionMatrix:
+def _transform(x: np.ndarray, n: OperatorMatrix, basis_tag: str) -> OperatorMatrix:
     """``(i, j) -> sum_kl x_ik entry(k, l) conj(x_jl)``: a factor's blocks become ``G'_i = sum_k x_ik G_k``."""
     if n.factor is not None:
         return EvolutionMatrix._factored(n.system, _left(x, n.factor, 3), basis_tag)
-    return EvolutionMatrix._trusted(n.system, _conjugate(x, n.entries), basis_tag)
+    return OperatorMatrix(n.system, _conjugate(x, n.entries), basis_tag)
 
 
 def from_global_unitary(w: UnitaryOperator, a_sys: System) -> EvolutionMatrix:
@@ -256,7 +250,7 @@ def identity_evolution(a_sys: System) -> EvolutionMatrix:
     return from_global_unitary(eye, a_sys)
 
 
-def noumenal_action(u: UnitaryOperator, n: OperatorMatrix) -> EvolutionMatrix:
+def noumenal_action(u: UnitaryOperator, n: OperatorMatrix) -> OperatorMatrix:
     """Apply a local operation: entry ``(i,j) -> sum_kl U_ik N_kl conj(U_jl)``.
 
     ``u`` is read in the canonical basis, so ``n`` must be a canonical-basis grid.
@@ -268,7 +262,7 @@ def noumenal_action(u: UnitaryOperator, n: OperatorMatrix) -> EvolutionMatrix:
     return _transform(u.matrix, n, CANONICAL)
 
 
-def noumenal_partial_trace(n: OperatorMatrix, traced: System) -> EvolutionMatrix:
+def noumenal_partial_trace(n: OperatorMatrix, traced: System) -> OperatorMatrix:
     """Restrict a noumenal state to a subsystem by tracing out ``traced``.
 
     Entry ``(i, j)`` of the result is ``sum_k n.entry((i,k), (j,k))`` with
@@ -291,17 +285,17 @@ def noumenal_partial_trace(n: OperatorMatrix, traced: System) -> EvolutionMatrix
     out += 0.0  # -0.0 becomes +0.0, as in a sum that starts from zero
     for term_rows in rows[1:]:
         out += flat.take(term_rows, axis=-3)
-    return EvolutionMatrix._trusted(keep, out.reshape(*batch, keep.dim, keep.dim, big_d, big_d), CANONICAL)
+    return OperatorMatrix(keep, out.reshape(*batch, keep.dim, keep.dim, big_d, big_d), CANONICAL)
 
 
-def noumenal_product(na: OperatorMatrix, nb: OperatorMatrix, check: bool = True) -> EvolutionMatrix:
+def noumenal_product(na: OperatorMatrix, nb: OperatorMatrix, check: bool = True) -> OperatorMatrix:
     """Combine states of disjoint systems: entry ``((i,k),(j,l)) = N^A_ij N^B_kl``.
 
-    The product of two genuinely compatible states (restrictions of one
-    global evolution) is again an evolution matrix; for independently built
-    inputs that need not hold, so by default the result is gated through
-    :func:`consistency_check` and rejected with ``CompatibilityViolation``
-    when the laws fail.  Pass ``check=False`` in trusted pipelines.
+    The product of two compatible states (restrictions of one global
+    evolution) obeys the laws; independently built inputs need not, so by
+    default the result is gated through :func:`consistency_check` and
+    rejected with ``CompatibilityViolation`` when the laws fail.  Either way
+    it is a raw grid; pass ``check=False`` in trusted pipelines.
     """
     if na.basis_tag != nb.basis_tag:
         raise BasisMismatch(f"cannot combine grids in bases {na.basis_tag!r} and {nb.basis_tag!r}")
@@ -312,7 +306,7 @@ def noumenal_product(na: OperatorMatrix, nb: OperatorMatrix, check: bool = True)
     out = np.empty((*batch, union.dim, union.dim, big_d, big_d), dtype=np.complex128)
     for i in range(na.grid_dim):  # entries ((i,k),(j,l)) = N^A_ij N^B_kl, one row i of A at a time
         out[..., perm[i, :, None, None], perm, :, :] = na.entries[..., i, None, :, None, :, :] @ nb.entries[..., :, None, :, :, :]
-    result = EvolutionMatrix._trusted(union, out, na.basis_tag)
+    result = OperatorMatrix(union, out, na.basis_tag)
     if check:
         report = consistency_check(result)
         if not report.ok:
@@ -348,7 +342,7 @@ def noumenal_equal(n1: OperatorMatrix, n2: OperatorMatrix) -> bool:
 # Change of basis.
 # ---------------------------------------------------------------------------
 
-def change_of_basis(n: OperatorMatrix, b_from: np.ndarray, b_to: np.ndarray, to_tag: str) -> EvolutionMatrix:
+def change_of_basis(n: OperatorMatrix, b_from: np.ndarray, b_to: np.ndarray, to_tag: str) -> OperatorMatrix:
     """Re-express a grid in another orthonormal basis of its system's space.
 
     ``b_from`` and ``b_to`` hold the basis vectors as columns, in canonical

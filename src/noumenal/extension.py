@@ -16,6 +16,7 @@ import numpy as np
 from .errors import AnchorMismatch, SystemMismatch
 from .evolution import (
     EvolutionMatrix,
+    OperatorMatrix,
     identity_evolution,
     noumenal_action,
     noumenal_partial_trace,
@@ -28,9 +29,9 @@ from .phenomenal import phi
 
 @dataclass(frozen=True, eq=False)
 class ExtendedNoumenalState:
-    """An evolution matrix together with its global anchor state."""
+    """A noumenal grid together with its global anchor state."""
 
-    n: EvolutionMatrix
+    n: OperatorMatrix
     rho: DensityOperator
 
     def __post_init__(self) -> None:

@@ -137,6 +137,12 @@ def test_empty_track_is_refused_before_the_first_step():
         simulate_circuit(circuit_from_json(two_qubit_payload(gates=[{"name": "H", "targets": [0]}], track=[])))
 
 
+def test_empty_track_entry_is_refused_before_the_first_step():
+    # The empty system's 1x1 grid checks only tr ρ₀ = 1, so tracking it would pass unchecked.
+    with pytest.raises(ValidationError, match="'track' has an empty entry"):
+        simulate_circuit(circuit_from_json(two_qubit_payload(gates=[{"name": "H", "targets": [0]}], track=[[0], []])))
+
+
 def test_mixed_initial_state_supported(rng):
     from noumenal import random_density_matrix
 

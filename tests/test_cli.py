@@ -43,6 +43,7 @@ def test_verify_zero_trials_skips(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(law["status"] == "skipped" for law in payload["laws"])
+    assert payload["passed"] is None  # no law ran, so nothing passed
 
 
 def test_verify_self_test_bug_fails(capsys):
@@ -143,6 +144,9 @@ def test_non_finite_tolerance_is_input_error(capsys, tol):
         (("simulate", "--track", "0,0"), None),
         (("simulate",), [[0, 0]]),
         (("demo", "no-signalling", "--bipartition", "0,0"), None),
+        (("simulate", "--track", ""), None),
+        (("simulate", "--track", "0;"), None),
+        (("simulate",), [[]]),
     ],
 )
 def test_malformed_atom_ids_are_input_errors(capsys, tmp_path, argv, track):
@@ -150,8 +154,9 @@ def test_malformed_atom_ids_are_input_errors(capsys, tmp_path, argv, track):
         path = tmp_path / "circuit.json"
         path.write_text(json.dumps({"atoms": [{"id": 0, "dim": 2}], "track": track}))
         argv = (*argv, "--file", str(path))
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -407,8 +412,8 @@ def _must_reject(field, value) -> bool:
         return bool(np.abs(matrix @ matrix.conj().T - np.eye(2)).max() > 1e-6)
     if value is None:  # the field's default
         return False
-    if field == "track":  # an empty list would track, and so check, nothing
-        return not isinstance(value, list) or not value or any(not_ids(ids) for ids in value)
+    if field == "track":  # an empty list or entry would track, and so check, nothing
+        return not isinstance(value, list) or not value or any(not_ids(ids) or not ids for ids in value)
     if field == "gates":
         return not isinstance(value, list) or any(
             not isinstance(entry, dict) or not_ids(entry.get("targets")) for entry in value
@@ -437,6 +442,7 @@ def _must_reject(field, value) -> bool:
 @example(drawn=("gates", 5))
 @example(drawn=("track", "01"))
 @example(drawn=("track", []))
+@example(drawn=("track", [[]]))
 @example(drawn=("initial_state", NON_PSD))
 @example(drawn=("initial_state", [[[0.0, math.inf]]]))
 @example(drawn=(0, [0.7]))

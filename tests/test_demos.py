@@ -145,6 +145,7 @@ def test_demo_scripts_run():
             timeout=120,
         )
         assert proc.returncode == 0, f"{script.name} exited {proc.returncode}:\n{proc.stderr}"
+        assert proc.stdout.strip(), f"{script.name} printed nothing"
 
 
 def test_no_signalling_demo_never_builds_the_global_grid():

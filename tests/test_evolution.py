@@ -321,6 +321,40 @@ def test_evolution_matrix_constructor_validates(lat22, rng):
         EvolutionMatrix(lat22.atom(0), entries)
 
 
+KERNELS = {
+    "action": lambda n, other, rng: noumenal_action(haar_unitary(n.system, rng), n),
+    "change_of_basis": lambda n, other, rng: change_of_basis(
+        n, np.eye(n.grid_dim), haar_random_unitary(n.grid_dim, rng), "rotated"
+    ),
+    "partial_trace": lambda n, other, rng: noumenal_partial_trace(n, n.system.lattice.system([])),
+    "product": lambda n, other, rng: noumenal_product(n, other, check=False),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_only_gated_or_factored_grids_are_evolution_matrices(lat22, rng, kernel):
+    # The type claims only what was checked: a dense-kernel result is raw even from a gated input.
+    a, b = lat22.atom(0), lat22.atom(1)
+    w = global_haar(lat22, rng)
+    factored, other = from_global_unitary(w, a), from_global_unitary(w, b)
+    perturbed = factored.entries.copy()
+    perturbed[0, 0, 0, 1] += 1e-3  # the self-test bug's perturbation
+    gated = EvolutionMatrix(a, factored.entries)
+    loaded = EvolutionMatrix.from_json(lat22, factored.to_json())
+    assert type(gated) is type(loaded) is EvolutionMatrix and gated.factor is loaded.factor is None
+    raw_inputs = [OperatorMatrix(a, factored.entries), OperatorMatrix(a, perturbed), gated, loaded]
+    results = [KERNELS[kernel](n, other, rng) for n in raw_inputs]
+    for result in results:
+        assert type(result) is OperatorMatrix and result.factor is None
+    assert not consistency_check(results[1]).ok  # typed EvolutionMatrix, this would be a false positive
+    from_factor = KERNELS[kernel](factored, other, rng)
+    if kernel == "product":  # a product is always raw
+        assert type(from_factor) is OperatorMatrix and from_factor.factor is None
+    else:  # the only kernel results typed EvolutionMatrix, and they pass the laws
+        assert type(from_factor) is EvolutionMatrix and from_factor.factor is not None
+        assert consistency_check(from_factor).ok
+
+
 def test_operator_matrix_shape_check(lat22):
     with pytest.raises(DimensionMismatch):
         OperatorMatrix(lat22.atom(0), np.zeros((2, 2, 3, 3)))

@@ -113,7 +113,7 @@ def trace_pairs_k_with_next(monkeypatch):
         flat = n.entries.reshape(*batch, d * d, big_d, big_d)
         rows = (perm[:, None] * d + np.roll(perm, -1, axis=1)).reshape(-1, traced.dim).T
         out = sum(flat.take(term_rows, axis=-3) for term_rows in rows)
-        return EvolutionMatrix._trusted(keep, out.reshape(*batch, keep.dim, keep.dim, big_d, big_d), CANONICAL)
+        return OperatorMatrix(keep, out.reshape(*batch, keep.dim, keep.dim, big_d, big_d), CANONICAL)
 
     replace(monkeypatch, evolution, "noumenal_partial_trace", mutant)
 
