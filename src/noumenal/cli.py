@@ -9,13 +9,14 @@ Three commands:
 
 Output is JSON or aligned text; runs are deterministic under a fixed seed
 and configuration.  Exit codes: 0 all checks pass, 1 a law or verdict
-failed, 2 bad input.
+failed, 2 bad input, 141 stdout closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .circuits import load_circuit, simulate_circuit
@@ -29,6 +30,7 @@ from .reports import dump_json, render_law_table, render_scenario
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 128 + 13  # the shell's code for a process ended by SIGPIPE
 
 DEMO_NAMES = ("bell-incompleteness", "no-signalling")
 
@@ -179,7 +181,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away: send what is left to devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

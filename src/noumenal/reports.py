@@ -1,8 +1,10 @@
-"""Report types for law checks and scripted demonstrations.
+"""Report types for law checks and scripted demonstrations, and their JSON text.
 
 Reports are value objects with a stable JSON form; rendering them with the
 same inputs twice produces byte-identical output, which the command-line
-front end relies on for reproducibility checks.
+front end relies on for reproducibility checks.  ``dump_json`` writes a
+record as ``json.dumps`` would, chunk by chunk, and renders its float arrays
+in runs of rows from the cached text of all-zero runs.
 """
 
 from __future__ import annotations
@@ -133,50 +135,34 @@ def render_scenario(result: ScenarioResult) -> str:
 # JSON text.
 # ---------------------------------------------------------------------------
 
-#: Entries of the largest array rendered as one string.  Bigger arrays are
-#: rendered in runs of whole rows of at most this many entries, so no string,
-#: list or write grows with the payload.
+#: Leaves of the longest run: a bigger float array is written in runs of whole
+#: rows, so no string or write grows with the payload.
 BLOCK_FLOATS = 1024
-
-#: ``dump_json`` writes once this many characters have accumulated.
-WRITE_CHARS = 1 << 16
 
 
 def dump_json(payload, stream) -> None:
     """Write exactly ``json.dumps(payload, indent=2, default=np.ndarray.tolist, allow_nan=False)``
-    to ``stream``, without the per-value generators of the pure-Python encoder
-    that ``indent`` selects, in pieces of about ``WRITE_CHARS`` characters.
+    to ``stream``, one write per chunk, without the per-value generators of
+    the pure-Python encoder that ``indent`` selects.
 
-    Dicts with ``str`` keys, lists and tuples are walked; an array of more than
-    ``BLOCK_FLOATS`` entries renders in runs of whole rows of at most that many,
-    or is walked along its first axis when a row does not fit.  A non-empty
-    finite float64 array or run is rendered from the cached all-zero text of
-    its shape; every other value is handed to ``json.dumps`` itself.
+    Dicts with ``str`` keys, lists and tuples are walked.  A non-empty finite
+    float64 array of rank >= 1 whose rows fit in a run is written by ``_runs``;
+    any other array of more than ``BLOCK_FLOATS`` entries is walked along its
+    first axis, and every other value is handed to ``json.dumps`` itself.
     """
-    pending: list[str] = []
-    size = 0
-    for chunk in _chunks(payload, 0):
-        pending.append(chunk)
-        size += len(chunk)
-        if size >= WRITE_CHARS:
-            stream.write("".join(pending))
-            pending, size = [], 0
-    stream.write("".join(pending))
+    stream.writelines(_chunks(payload, 0))
 
 
 def _chunks(value, depth: int):
     """The text of ``value`` at nesting ``depth``, in order, as strings."""
     kind = type(value)
-    if kind is np.ndarray and value.size > BLOCK_FLOATS:
-        rows = BLOCK_FLOATS // (value.size // len(value))
-        if rows:
-            # Runs share the array's outer brackets; each writes its block's body.
-            yield "["
-            for start in range(0, len(value), rows):
-                yield from ("," if start else "", _block(value[start : start + rows], depth, True))
-            yield "\n" + "  " * depth + "]"
+    if kind is np.ndarray:
+        if value.dtype == np.float64 and value.ndim and value.size and value.size // len(value) <= BLOCK_FLOATS and np.isfinite(value).all():
+            yield from _runs(value, depth)
             return
-        kind, value = list, list(value)
+        if value.size > BLOCK_FLOATS:
+            # A vector's items are numpy scalars, which json.dumps refuses; its list holds Python ones.
+            kind, value = list, list(value) if value.ndim > 1 else value.tolist()
     if kind is dict and value and all(type(key) is str for key in value):
         brackets = "{}"
         entries = ((json.dumps(key) + ": ", item) for key, item in value.items())
@@ -184,7 +170,9 @@ def _chunks(value, depth: int):
         brackets = "[]"
         entries = (("", item) for item in value)
     else:
-        yield _block(value, depth)
+        # JSON strings never hold a raw newline, so every newline here is a line
+        # break that json.dumps would indent by the enclosing depth.
+        yield json.dumps(value, indent=2, default=np.ndarray.tolist, allow_nan=False).replace("\n", "\n" + "  " * depth)
         return
     inner = "\n" + "  " * (depth + 1)
     separator = brackets[0] + inner
@@ -195,46 +183,45 @@ def _chunks(value, depth: int):
     yield "\n" + "  " * depth + brackets[1]
 
 
-def _block(value, depth: int, body: bool = False) -> str:
-    """The text of a value that is not walked, at nesting ``depth``; ``body`` as in ``_float_block``."""
-    if type(value) is np.ndarray and value.dtype == np.float64 and value.ndim and value.size and np.isfinite(value).all():
-        return _float_block(value, depth, body)
-    # JSON strings never hold a raw newline, so every newline here is a line
-    # break that json.dumps would indent by the enclosing depth.
-    text = json.dumps(value, indent=2, default=np.ndarray.tolist, allow_nan=False)
-    text = text.replace("\n", "\n" + "  " * depth)
-    return text[1 : -2 * depth - 2] if body else text
-
-
-def _float_block(value: np.ndarray, depth: int, body: bool = False) -> str:
-    """A non-empty finite float64 array of rank >= 1 rendered at ``depth``
-    (with ``body``, inside its outer brackets only): the cached all-zero
-    text, with ``repr`` in place of ``"0.0"`` at each leaf whose bits are not
-    all zero, so ``-0.0`` is formatted and only ``+0.0`` is skipped.  An
-    all-zero block is the cached string itself."""
-    text, offsets = _zero_text(value.shape, depth, True) if body else _zero_text(value.shape, depth)
+def _runs(value: np.ndarray, depth: int):
+    """The text at ``depth`` of a non-empty finite float64 array of rank >= 1
+    whose rows hold at most ``BLOCK_FLOATS`` leaves, in runs of as many whole
+    rows as fit, each one string with its ``"["`` or ``","`` in front.  A run
+    is the cached all-zero body of its shape, with ``repr`` in place of
+    ``"0.0"`` at each leaf whose bits are not all zero, so ``-0.0`` is
+    formatted and only ``+0.0`` is skipped.  Even an all-zero run is a new
+    string, never the cached body, so a stream that keeps its writes holds the
+    output's size whatever its zeros."""
     flat = value.ravel()
-    leaves = flat.view(np.uint64).nonzero()[0]
-    if not leaves.size:
-        return text
-    pieces, end = [], 0
-    for at, leaf in zip(offsets[leaves].tolist(), flat[leaves].tolist()):
-        pieces += text[end:at], repr(leaf)
-        end = at + 3
-    pieces.append(text[end:])
-    return "".join(pieces)
+    rows = min(len(value), BLOCK_FLOATS // (flat.size // len(value)))
+    run = flat.size // len(value) * rows
+    leaves = np.flatnonzero(flat.view(np.uint64))
+    # Each run's leaves, by one search; a shorter last run's body is a prefix of a full one's.
+    cuts = np.searchsorted(leaves, np.arange(0, flat.size + run, run)).tolist()
+    body, offsets = _zero_text((rows, *value.shape[1:]), depth)
+    ats, numbers = offsets[leaves % run].tolist(), flat[leaves].tolist()
+    for start, low, high in zip(range(0, len(value), rows), cuts, cuts[1:]):
+        if start + rows > len(value):
+            body = _zero_text(value[start:].shape, depth)[0]
+        pieces, end = ["," if start else "["], 0
+        for at, number in zip(ats[low:high], numbers[low:high]):
+            pieces += body[end:at], repr(number)
+            end = at + 3
+        pieces.append(body[end:])
+        yield "".join(pieces)
+    yield "\n" + "  " * depth + "]"
 
 
 @functools.lru_cache(maxsize=128)
-def _zero_text(shape: tuple[int, ...], depth: int, body: bool = False) -> tuple[str, np.ndarray]:
-    """The text of an all-zero float block of ``shape`` at ``depth``, or its
-    ``body``, and the read-only offsets of its leaves' ``"0.0"``, in row-major
-    order.  ``body`` is passed only when true, so no text has two keys."""
+def _zero_text(shape: tuple[int, ...], depth: int) -> tuple[str, np.ndarray]:
+    """The body of an all-zero float array of ``shape`` at ``depth``, the text
+    inside its outer brackets, and the read-only offsets of its leaves'
+    ``"0.0"``, in row-major order."""
     text = "0.0"
     for level in reversed(range(len(shape))):
         inner = "\n" + "  " * (depth + level + 1)
         text = "[" + inner + ("," + inner).join([text] * shape[level]) + "\n" + "  " * (depth + level) + "]"
-    text = text[1 : -2 * depth - 2] if body else text
+    text = text[1 : -2 * depth - 2]
     # Each leaf holds the text's only kind of ".", one character in.
     offsets = np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == ord(".")) - 1
     offsets.flags.writeable = False

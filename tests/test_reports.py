@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from noumenal import matrix_to_json, reports
-from noumenal.reports import BLOCK_FLOATS, WRITE_CHARS, _float_block, dump_json
+from noumenal.reports import BLOCK_FLOATS, _runs, dump_json
 
 
 def oracle(value) -> str:
@@ -30,6 +30,38 @@ def dumps_json(value) -> str:
     stream = io.StringIO()
     dump_json(value, stream)
     return stream.getvalue()
+
+
+class Writes(io.TextIOBase):
+    """A text stream that keeps each string written to it, as stdout's
+    replacement in the benchmark harness does."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+
+def written(payload):
+    """``dump_json``'s writes of ``payload``, and the runs among them, each
+    without the ``"["`` or ``","`` written in front of it."""
+    stream, runs = Writes(), []
+
+    def spy(value, depth):
+        chunks = list(_runs(value, depth))
+        runs.extend(chunk[1:] for chunk in chunks[:-1])
+        yield from chunks
+
+    with mock.patch.object(reports, "_runs", spy):
+        dump_json(payload, stream)
+    return stream.pieces, runs
+
+
+def run_leaves(run: str) -> int:
+    """The leaves of a run's text."""
+    return np.size(json.loads("[" + run + "]"))
 
 
 def _nest(flat, shape):
@@ -94,16 +126,13 @@ def test_dump_json_refuses_non_finite_floats(payload):
 @given(rectangular(finite_floats), st.integers(0, 3))
 def test_finite_float_grids_take_the_level_renderer(grid, depth):
     expected = json.dumps(grid, indent=2).replace("\n", "\n" + "  " * depth)
-    assert _float_block(np.array(grid), depth) == expected
+    assert "".join(_runs(np.array(grid), depth)) == expected
 
 
 def test_serialized_matrix_takes_the_level_renderer(monkeypatch):
     grid = matrix_to_json(np.arange(8).reshape(2, 2, 2) * (1 + 0.5j))
-    assert _float_block(grid, 1) is not None
     shapes = []
-    monkeypatch.setattr(
-        reports, "_float_block", lambda value, depth, *body: shapes.append(value.shape) or _float_block(value, depth, *body)
-    )
+    monkeypatch.setattr(reports, "_runs", lambda value, depth: shapes.append(value.shape) or _runs(value, depth))
     assert dumps_json({"grid": grid}) == oracle({"grid": grid})
     assert shapes == [grid.shape]
 
@@ -119,16 +148,19 @@ def test_dump_json_writes_a_large_grid_in_bounded_pieces():
         "rows": rows,
         "flat": np.linspace(0, 1, 3 * BLOCK_FLOATS),
         "ints": np.arange(4 * BLOCK_FLOATS).reshape(2, -1),
+        "zeros": np.zeros((5, 300, 2)),
     }
-
-    class Pieces(list):
-        write = list.append
-
-    pieces = Pieces()
-    dump_json(payload, pieces)
+    pieces, runs = written(payload)
     assert "".join(pieces) == oracle(payload)
     assert len(pieces) > 10
-    assert max(map(len, pieces)) < 2 * WRITE_CHARS
+    # No write is longer than one run's text and its separator, and no run holds more than BLOCK_FLOATS leaves.
+    assert len(runs) == _run_count(entries.shape) + _run_count((3 * BLOCK_FLOATS,)) + 5
+    assert max(map(len, pieces)) == max(map(len, runs)) + 1
+    assert max(map(run_leaves, runs)) == BLOCK_FLOATS
+    # Each all-zero run is one write, the cached body after its separator: a new string, never the body itself.
+    body = reports._zero_text((1, 300, 2), 1)[0]
+    assert sum(piece in ("[" + body, "," + body) for piece in pieces) == 5
+    assert all(piece is not body for piece in pieces)
     # A row holding a NaN inside a grid walked row by row, and a large infinite array, are refused.
     entries[0, 1, 5, 3, 0] = math.nan
     for refused in ({"entries": entries}, {"infinite": np.full(BLOCK_FLOATS + 1, -math.inf)}):
@@ -167,7 +199,7 @@ def _last_leaf_only(shape):
 @example(_last_leaf_only((2, 3, 4)), 5)
 @example(np.random.default_rng(0).standard_normal((4, 16, 16)), 1)
 def test_sparse_blocks_render_like_json_dumps(block, depth):
-    assert _float_block(block, depth) == oracle(block).replace("\n", "\n" + "  " * depth)
+    assert "".join(_runs(block, depth)) == oracle(block).replace("\n", "\n" + "  " * depth)
     # The same leaves in a grid of more than BLOCK_FLOATS floats, walked to blocks.
     entries = np.zeros(2 * 2 * 16 * 16, dtype=complex)
     entries.real[: block.size] = block.ravel()
@@ -180,24 +212,42 @@ def test_sparse_blocks_render_like_json_dumps(block, depth):
 def test_zero_text_cache_is_bounded_and_holds_one_text_per_key():
     assert reports._zero_text.cache_info().maxsize == 128
     for shape in [(BLOCK_FLOATS,), (32, 32), (4, 16, 16), (2, 2, 2, 2, 2)]:
-        text, offsets = reports._zero_text(shape, 3)
-        assert reports._zero_text(shape, 3)[0] is text
-        assert text == oracle(np.zeros(shape)).replace("\n", "\n" + "  " * 3)
+        body, offsets = reports._zero_text(shape, 3)
+        assert reports._zero_text(shape, 3)[0] is body
+        # The body is the text inside the outer brackets.
+        assert "[" + body + "\n" + "  " * 3 + "]" == oracle(np.zeros(shape)).replace("\n", "\n" + "  " * 3)
         assert offsets.shape == (math.prod(shape),) and not offsets.flags.writeable
         assert (np.diff(offsets) > 0).all()
-        assert {text[at : at + 3] for at in offsets.tolist()} == {"0.0"}
-        # An all-zero block is the cached text itself.
-        assert _float_block(np.zeros(shape), 3) is text
+        assert {body[at : at + 3] for at in offsets.tolist()} == {"0.0"}
+        # An all-zero array is one run, written from the cached body as a new string.
+        chunks = list(_runs(np.zeros(shape), 3))
+        assert len(chunks) == 2 and chunks[0] == "[" + body
+    # One body per shape and depth: a full run and a shorter last one, however often rendered.
+    reports._zero_text.cache_clear()
+    for _ in range(2):
+        dumps_json(np.zeros(2 * BLOCK_FLOATS + 5))
+    assert reports._zero_text.cache_info().currsize == 2
 
 
-def _float_block_calls(shape):
-    """``_float_block`` calls for a finite array: one per run of whole rows."""
+def test_finiteness_and_leaves_are_found_once_per_array():
+    array = matrix_to_json(np.arange(64 * 64).reshape(64, 64) / 7j)
+    assert _run_count(array.shape) == 8
+    with mock.patch.object(np, "isfinite", wraps=np.isfinite) as finite, mock.patch.object(
+        np, "flatnonzero", wraps=np.flatnonzero
+    ) as search:
+        assert dumps_json({"grid": array}) == oracle({"grid": array})
+    assert [call.args[0].size for call in finite.call_args_list] == [array.size]
+    assert [call.args[0].size for call in search.call_args_list if call.args[0].dtype == np.uint64] == [array.size]
+
+
+def _run_count(shape):
+    """The runs of whole rows that a finite float64 array is written in."""
     if math.prod(shape) <= BLOCK_FLOATS:
         return 1
     row = math.prod(shape[1:])
     if row <= BLOCK_FLOATS:
         return -(-shape[0] // (BLOCK_FLOATS // row))
-    return shape[0] * _float_block_calls(shape[1:])
+    return shape[0] * _run_count(shape[1:])
 
 
 @st.composite
@@ -222,11 +272,11 @@ def sparse_row_arrays(draw):
 def test_arrays_render_in_runs_of_rows(drawn):
     array, nan_at = drawn
     assert array.size > BLOCK_FLOATS
-    with mock.patch.object(reports, "_float_block", wraps=_float_block) as spy:
-        assert dumps_json({"entries": array}) == oracle({"entries": array})
-    assert spy.call_count == _float_block_calls(array.shape)
-    assert all(call.args[0].size <= BLOCK_FLOATS for call in spy.call_args_list)
-    # The run that holds a NaN falls back to json.dumps, which refuses it.
+    pieces, runs = written({"entries": array})
+    assert "".join(pieces) == oracle({"entries": array})
+    assert len(runs) == _run_count(array.shape)
+    assert all(run_leaves(run) <= BLOCK_FLOATS for run in runs)
+    # The array or row that holds a NaN falls back to json.dumps, which refuses it.
     with_nan = array.copy()
     with_nan.flat[nan_at] = math.nan
     with pytest.raises(ValueError):
