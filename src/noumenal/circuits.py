@@ -3,9 +3,10 @@
 A circuit file (JSON) declares the lattice atoms, an initial global state,
 a gate list, and which systems to track.  Simulation applies each gate to
 the global operation ``W`` and the state ``W ρ W†`` on its target axes only.
-A tracked grid stays as it is under a disjoint gate and otherwise takes its
-system's rows of ``W``.  Each step emits, per tracked system, the grid, the
-density operator, and the residual between the grid's image and ``W ρ W†``.
+A tracked grid stays as it is under a disjoint gate and otherwise becomes
+``[W]^A`` on the new ``W``, which it holds without a copy.  Each step emits,
+per tracked system, the grid, the density operator, and the residual
+between the grid's image and ``W ρ W†``.
 
 Schema::
 
@@ -37,7 +38,7 @@ from .linalg import (
     TOL_EQ,
     DensityOperator,
     UnitaryOperator,
-    index_map,
+    act_on_rows,
     matrix_from_json,
     matrix_to_json,
     max_abs,
@@ -193,20 +194,13 @@ def load_circuit(path: str | Path) -> Circuit:
 # Simulation.
 # ---------------------------------------------------------------------------
 
-def _rows(x: np.ndarray, m: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """``x`` on the row index of ``m`` that ``perm`` (an ``index_map``) groups first, at O(D²·d)."""
-    out = np.empty_like(m)
-    out[perm] = (x @ m[perm].reshape(len(x), -1)).reshape(*perm.shape, -1)
-    return out
-
-
-def _conjugate_state(x: np.ndarray, rho: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """``x ρ x†``: ``x`` on the rows, then ``conj(x)`` on the columns."""
-    return _rows(x.conj(), _rows(x, rho, perm).T, perm).T
+def _conjugate_state(u: UnitaryOperator, rho: np.ndarray) -> np.ndarray:
+    """``(u ⊗ I) ρ (u ⊗ I)†``: ``u`` on the rows, then ``conj(u)`` on the columns."""
+    return act_on_rows(u.matrix.conj(), act_on_rows(u.matrix, rho, u.system).T, u.system).T
 
 
 def _next_grid(grid: EvolutionMatrix, u: UnitaryOperator, w: UnitaryOperator) -> EvolutionMatrix:
-    """``grid`` after gate ``u``: itself if ``u`` is disjoint from it (no action at a distance), else rows of ``w``."""
+    """``grid`` after gate ``u``: itself if ``u`` is disjoint from it (no action at a distance), else ``[w]^A``."""
     return grid if u.system.is_disjoint_from(grid.system) else from_global_unitary(w, grid.system)
 
 
@@ -226,9 +220,8 @@ def simulate_circuit(circuit: Circuit, tol: float = TOL_EQ) -> dict:
     worst = 0.0
     for t, (gate, u) in enumerate([(None, None), *gates]):  # step 0 is the initial state
         if u is not None:
-            perm = index_map(u.system, u.system.complement())
-            w = UnitaryOperator._trusted(_rows(u.matrix, w.matrix, perm), s)
-            rho = _conjugate_state(u.matrix, rho, perm)
+            w = UnitaryOperator._trusted(act_on_rows(u.matrix, w.matrix, u.system), s)
+            rho = _conjugate_state(u, rho)
             grids = [_next_grid(grid, u, w) for grid in grids]
         tracked = []
         for grid in grids:

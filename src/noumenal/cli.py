@@ -9,7 +9,8 @@ Three commands:
 
 Output is JSON or aligned text; runs are deterministic under a fixed seed
 and configuration.  Exit codes: 0 all checks pass, 1 a law or verdict
-failed, 2 bad input, 141 stdout closed before the output was written.
+failed, 2 bad input or out of memory, 141 stdout closed before the output
+was written.
 """
 
 from __future__ import annotations
@@ -109,15 +110,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     lattice = SystemLattice.from_dims(_parse_dims(args.atoms))
+    a_atoms = None if args.bipartition is None else _parse_ints(args.bipartition, ",", "--bipartition", "0,2")
     if args.name == "bell-incompleteness":
-        result = bell_incompleteness_demo(lattice)
+        if a_atoms not in (None, [0], [1]):
+            raise ParseError(f"bell-incompleteness takes --bipartition 0 or 1, got {args.bipartition!r}")
+        result = bell_incompleteness_demo(lattice, swap=a_atoms == [1])
     else:
-        a_atoms = None
-        if args.bipartition is not None:
-            a_atoms = _parse_ints(args.bipartition, ",", "--bipartition", "0,2")
-        result = no_signalling_demo(
-            lattice, args.trials, args.seed, a_atoms=a_atoms, tol=args.tol
-        )
+        result = no_signalling_demo(lattice, args.trials, args.seed, a_atoms=a_atoms, tol=args.tol)
     _emit(result.to_json(), render_scenario(result), args.format)
     return EXIT_FAIL if result.passed is False else EXIT_PASS
 
@@ -188,6 +187,9 @@ def entry() -> None:
         # The reader went away: send what is left to devnull, so the flush at exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_PIPE
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
     sys.exit(code)
 
 

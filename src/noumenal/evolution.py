@@ -3,12 +3,13 @@
 The noumenal state of a system ``A`` under a global operation ``W`` is the
 grid ``[W]^A`` whose ``(i, j)`` entry is the global-space operator
 ``W† (|j><i| ⊗ I) W`` (identity padding on the complement of ``A``).  A grid
-built from ``W`` holds its Gram factor ``G``, the rows of ``W`` grouped by the
-index of ``A``: shape ``(d, D/d, D)`` for ``A`` of dimension ``d`` in global
-dimension ``D``, with ``entry(i, j) = G_j† G_i``.  Actions multiply ``G`` and
-partial traces take its rows; the dense ``(d, d, D, D)`` entries form on first
-read.  Unfactored grids (from JSON, perturbed, dense-kernel results) run the
-dense kernels.  Leading axes hold a batch of grids, one per law-suite trial.
+built from ``W`` (a W-grid) holds the ``D x D`` matrix ``w`` of ``W`` itself,
+shared with its caller: with ``G_i`` the rows of ``w`` whose ``A`` index is
+``i``, ``entry(i, j) = G_j† G_i``, formed on the first read of the dense
+``(d, d, D, D)`` entries.  An action is ``[(U ⊗ I) W]^A`` and a partial trace
+is ``[W]^(A∖B)``.  Other grids (from JSON, perturbed, dense-kernel results)
+run the dense kernels.  Leading axes hold a batch of grids, one per law-suite
+trial.
 
 Three algebraic laws characterize such grids and are used as the consistency
 gate for products of independently built states:
@@ -38,6 +39,7 @@ from .linalg import (
     TOL_EQ,
     TOL_UNITARY,
     UnitaryOperator,
+    act_on_rows,
     dagger,
     index_map,
     is_unitary,
@@ -51,9 +53,9 @@ CANONICAL = "canonical"
 
 class OperatorMatrix:
     """A raw ``d x d`` grid of ``D x D`` operators, or a batch of grids on one
-    system; shape-checked only.  Its ``factor`` is ``None``: only ``_factored`` sets one."""
+    system; shape-checked only.  Its ``w`` is ``None``: only ``_of_w`` sets one."""
 
-    __slots__ = ("system", "basis_tag", "factor", "_entries")
+    __slots__ = ("system", "basis_tag", "w", "_entries")
 
     def __init__(self, system: System, entries: np.ndarray, basis_tag: str = CANONICAL):
         entries = np.ascontiguousarray(entries, dtype=np.complex128)
@@ -65,13 +67,13 @@ class OperatorMatrix:
                 f"{(d, d, big_d, big_d)} for system {system}"
             )
         entries.flags.writeable = False
-        self.system, self.basis_tag, self.factor, self._entries = system, basis_tag, None, entries
+        self.system, self.basis_tag, self.w, self._entries = system, basis_tag, None, entries
 
     @property
     def entries(self) -> np.ndarray:
-        """The read-only dense grid; a factored grid forms it on the first read and keeps it."""
+        """The read-only dense grid; a W-grid forms it from its system's rows of ``w`` on the first read and keeps it."""
         if self._entries is None:
-            self._entries = _gram(self.factor)
+            self._entries = _gram(np.take(self.w, index_map(self.system, self.system.complement()), axis=-2))
         return self._entries
 
     @property
@@ -106,8 +108,8 @@ class EvolutionMatrix(OperatorMatrix):
     """An operator grid satisfying the evolution-matrix consistency laws.
 
     Exactly two kinds exist: a grid that passed :func:`consistency_check` (the
-    constructor, :meth:`from_json`), or one holding a Gram factor (:meth:`_factored`),
-    valid by construction.  Every dense-kernel result is a raw :class:`OperatorMatrix`.
+    constructor, :meth:`from_json`), or a W-grid ``[W]^A`` (:meth:`_of_w`), valid
+    by construction.  Every dense-kernel result is a raw :class:`OperatorMatrix`.
     """
 
     def __init__(self, system: System, entries: np.ndarray, basis_tag: str = CANONICAL):
@@ -117,11 +119,11 @@ class EvolutionMatrix(OperatorMatrix):
             raise CompatibilityViolation(f"grid fails the evolution-matrix laws: {report.residuals()}")
 
     @classmethod
-    def _factored(cls, system: System, factor: np.ndarray, basis_tag: str) -> "EvolutionMatrix":
-        """The grid of a read-only Gram factor ``(..., d, D/d, D)``."""
+    def _of_w(cls, system: System, w: np.ndarray, basis_tag: str) -> "EvolutionMatrix":
+        """The grid ``[W]^A`` of ``system``, holding the matrix ``w`` (``(..., D, D)``) of ``W`` read-only."""
         grid = cls.__new__(cls)
-        factor.flags.writeable = False
-        grid.system, grid.basis_tag, grid.factor, grid._entries = system, basis_tag, factor, None
+        w.flags.writeable = False
+        grid.system, grid.basis_tag, grid.w, grid._entries = system, basis_tag, w, None
         return grid
 
     @classmethod
@@ -194,17 +196,11 @@ def consistency_check(m: OperatorMatrix) -> ConsistencyReport:
 # Construction and the noumenal operations.
 # ---------------------------------------------------------------------------
 
-def _gram(factor: np.ndarray) -> np.ndarray:
-    """The read-only grid ``(i, j) -> factor_j† factor_i``."""
-    entries = np.ascontiguousarray(dagger(factor))[..., None, :, :, :] @ factor[..., :, None, :, :]
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """The read-only grid ``(i, j) -> rows_j† rows_i`` of row blocks ``(..., d, D/d, D)``."""
+    entries = np.ascontiguousarray(dagger(rows))[..., None, :, :, :] @ rows[..., :, None, :, :]
     entries.flags.writeable = False
     return entries
-
-
-def _left(x: np.ndarray, a: np.ndarray, rank: int) -> np.ndarray:
-    """``x`` applied to the first of the last ``rank`` axes of ``a``: a grid's rows or a factor's blocks."""
-    out = x @ a.reshape(*a.shape[:-rank], x.shape[-1], -1)
-    return out.reshape(*out.shape[:-2], *a.shape[-rank:])
 
 
 def _conjugate(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -214,7 +210,8 @@ def _conjugate(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     so besides the result only one grid row is alive at a time.
     """
     d = x.shape[-1]
-    out = _left(x, entries, 4)
+    out = x @ entries.reshape(*entries.shape[:-4], d, -1)
+    out = out.reshape(*out.shape[:-2], *entries.shape[-4:])
     x_conj = x.conj()
     for i in range(d):
         row = out[..., i, :, :, :]
@@ -223,9 +220,9 @@ def _conjugate(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 
 def _transform(x: np.ndarray, n: OperatorMatrix, basis_tag: str) -> OperatorMatrix:
-    """``(i, j) -> sum_kl x_ik entry(k, l) conj(x_jl)``: a factor's blocks become ``G'_i = sum_k x_ik G_k``."""
-    if n.factor is not None:
-        return EvolutionMatrix._factored(n.system, _left(x, n.factor, 3), basis_tag)
+    """``(i, j) -> sum_kl x_ik entry(k, l) conj(x_jl)``: ``[W]^A`` becomes ``[(x ⊗ I) W]^A``."""
+    if n.w is not None:
+        return EvolutionMatrix._of_w(n.system, act_on_rows(x, n.w, n.system), basis_tag)
     return OperatorMatrix(n.system, _conjugate(x, n.entries), basis_tag)
 
 
@@ -234,13 +231,11 @@ def from_global_unitary(w: UnitaryOperator, a_sys: System) -> EvolutionMatrix:
 
     Entry ``(i, j)`` is ``W† (|j><i| ⊗ I) W``.  Equivalently, with the rows
     of ``W`` grouped by the basis index of ``a_sys``, entry ``(i, j)`` is the
-    (rows ``j``)† (rows ``i``) Gram block; the grid holds those rows as its factor.
+    (rows ``j``)† (rows ``i``) Gram block.  The grid holds ``w.matrix`` itself.
     """
     if not w.system.is_global:
         raise NotGlobalOperator(f"operation acts on {w.system}, not the global system")
-    rest = a_sys.complement()
-    grouped = np.take(w.matrix, index_map(a_sys, rest), axis=-2)  # (..., d, D/d, D)
-    return EvolutionMatrix._factored(a_sys, grouped, CANONICAL)
+    return EvolutionMatrix._of_w(a_sys, w.matrix, CANONICAL)
 
 
 def identity_evolution(a_sys: System) -> EvolutionMatrix:
@@ -274,10 +269,9 @@ def noumenal_partial_trace(n: OperatorMatrix, traced: System) -> OperatorMatrix:
     if n.basis_tag != CANONICAL:
         raise BasisMismatch("partial traces are defined on canonical-basis grids")
     keep = n.system.difference(traced)
+    if n.w is not None:  # [W]^A traced over B is [W]^(A∖B)
+        return EvolutionMatrix._of_w(keep, n.w, CANONICAL)
     perm = index_map(keep, traced)
-    if n.factor is not None:  # kept block i stacks the blocks (i, k): a row take
-        g = n.factor.take(perm, axis=-3)
-        return EvolutionMatrix._factored(keep, g.reshape(*g.shape[:-4], keep.dim, -1, g.shape[-1]), CANONICAL)
     *batch, d, _, big_d, _ = n.entries.shape
     flat = n.entries.reshape(*batch, d * d, big_d, big_d)
     rows = (perm[:, None] * d + perm).reshape(-1, traced.dim).T  # rows[k]: entries ((i,k), (j,k)) of flat grid axes

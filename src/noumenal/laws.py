@@ -10,7 +10,7 @@ batch of stacked inputs; a trial's residual is the same in any batch.  A law
 draws its operators and states through :class:`_TrialContext`, which records
 each draw under its name, and returns only residuals; a failing law's
 counterexample holds its worst trial's systems and every named draw.  A grid
-built from a global operation runs the factor kernels; a side that must run
+built from a global operation runs the W kernels; a side that must run
 the dense ones says so with :func:`_raw`.  ``tests/test_kernel_coverage.py``
 holds the table of the kernel forms each law runs.
 
@@ -135,7 +135,7 @@ def _three_split(lattice: SystemLattice, rng: np.random.Generator) -> tuple[Syst
 
 def _raw(n: OperatorMatrix) -> OperatorMatrix:
     """A grid's dense entries as a raw grid, whose operations run the dense kernels.  A law whose two sides
-    would both run the factor kernels passes one side's input through here, so that the sides run different ones."""
+    would both run the W kernels passes one side's input through here, so that the sides run different ones."""
     return OperatorMatrix(n.system, n.entries, n.basis_tag)
 
 

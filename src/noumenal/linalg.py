@@ -239,6 +239,16 @@ def embed_operator(op: np.ndarray, a_sys: System) -> np.ndarray:
     return tensor_operators(op, a_sys, np.eye(rest.dim), rest)
 
 
+def act_on_rows(x: np.ndarray, m: np.ndarray, a_sys: System) -> np.ndarray:
+    """``(x ⊗ I) m`` for an operator ``x`` on ``a_sys`` and a global-space
+    ``m``, at O(D²·d): ``x`` on the ``a_sys`` index of the rows of ``m``."""
+    perm = index_map(a_sys, a_sys.complement())
+    rows = x @ m[..., perm, :].reshape(*m.shape[:-2], len(perm), -1)
+    out = np.empty((*rows.shape[:-2], *m.shape[-2:]), dtype=np.complex128)
+    out[..., perm, :] = rows.reshape(*rows.shape[:-2], *perm.shape, -1)
+    return out
+
+
 def tensor_operators(
     op_a: np.ndarray, a_sys: System, op_b: np.ndarray, b_sys: System
 ) -> np.ndarray:

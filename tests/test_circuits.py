@@ -264,3 +264,30 @@ def test_a_disjoint_gate_emits_the_previous_grid_bitwise(rng):
     grids = [entries_of(step["tracked"][0]) for step in steps]
     assert grids[2].tobytes() == grids[1].tobytes()
     assert grids[3].tobytes() != grids[2].tobytes() != grids[0].tobytes()
+
+
+def test_a_gate_points_the_grids_it_touches_at_that_steps_w(monkeypatch, rng):
+    """After a gate, each tracked grid it touches holds the ``W`` of that step
+    itself, with no copy; a grid the gate missed keeps the one it had."""
+    lattice = SystemLattice.from_dims([2, 3, 2])
+    payload = {
+        "atoms": [{"id": i, "dim": d} for i, d in enumerate(lattice.dims)],
+        "gates": [haar_gate(rng, lattice, [0, 1]), haar_gate(rng, lattice, [2, 1])],
+        "track": [[0], [1], [2], [0, 2]],
+    }
+    circuit = circuit_from_json(payload)
+    built, phi_inputs = [], []
+    build, phi = circuits.from_global_unitary, circuits.phi
+    monkeypatch.setattr(circuits, "from_global_unitary", lambda w, system: built.append(w) or build(w, system))
+    monkeypatch.setattr(circuits, "phi", lambda anchor, grid: phi_inputs.append(grid) or phi(anchor, grid))
+    assert simulate_circuit(circuit)["passed"]
+    w = np.eye(lattice.global_dim, dtype=complex)
+    for gate in circuit.gates:
+        unitary = gate_unitary(gate, lattice)
+        w = embed_operator(unitary.matrix, unitary.system) @ w
+    # Four grids are built at step 0, then three after each gate (each misses one tracked system).
+    first_w, last_w = built[4].matrix, built[-1].matrix
+    assert max_abs(last_w - w) <= TOL_EQ
+    first_step, last_step = phi_inputs[4:8], phi_inputs[8:]
+    assert [np.shares_memory(grid.w, last_w) for grid in last_step] == [False, True, True, True]
+    assert last_step[0] is first_step[0] and first_step[0].w is first_w

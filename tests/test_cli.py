@@ -2,7 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +73,20 @@ def test_demo_bell(capsys):
     payload = json.loads(out)
     assert payload["passed"]
     assert all(payload["findings"]["verdicts"].values())
+
+
+def test_demo_bell_bipartition_names_system_a(capsys):
+    argv = ("demo", "bell-incompleteness", "--format", "json")
+    outputs = {}
+    for flag in (), ("--bipartition", "0"), ("--bipartition", "1"):
+        code, outputs[flag], _ = run_cli(capsys, *argv, *flag)
+        assert code == 0
+    assert outputs[("--bipartition", "0")] == outputs[()]
+    findings = json.loads(outputs[("--bipartition", "1")])["findings"]
+    assert (findings["system_a"], findings["system_b"]) == ([1], [0]) and all(findings["verdicts"].values())
+    for bipartition in "5", "0,1", "1,1":
+        code, out, err = run_cli(capsys, *argv, "--bipartition", bipartition, "--trials", "7")
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_demo_no_signalling(capsys):
@@ -259,6 +278,25 @@ def test_simulate_rejects_oversized_lattice(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--file", str(path))
     assert code == 2
     assert "exceeds" in err
+
+
+def test_simulate_out_of_memory_exits_2_with_one_line(tmp_path):
+    """Under a 400 MiB address-space limit (the child's only), an 11-qubit
+    run cannot form its 256 MiB grid: numpy's size is kept, with no traceback."""
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"atoms": [{"id": i, "dim": 2} for i in range(11)],
+                                "gates": [{"name": "H", "targets": [0]}], "track": [[0]]}))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "noumenal.cli", "simulate", "--file", str(path)],
+                          env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_simulate_explicit_matrix_gate(capsys, tmp_path):

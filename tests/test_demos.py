@@ -150,7 +150,7 @@ def test_demo_scripts_run():
 
 def test_no_signalling_demo_never_builds_the_global_grid():
     """On 2^5 the global grid alone is 16 MB (d = D = 32); the demo acts on
-    and traces its Gram factor and forms only the 64 KB grids of one atom."""
+    and traces the W-grid of ``W`` and forms only the 64 KB grids of one atom."""
     lattice = SystemLattice.from_dims([2] * 5)
     tracemalloc.start()
     try:

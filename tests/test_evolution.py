@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from noumenal import (
     OperatorMatrix,
     ParseError,
     System,
+    SystemLattice,
     SystemMismatch,
     UnitaryOperator,
     change_of_basis,
@@ -336,23 +338,23 @@ def test_only_gated_or_factored_grids_are_evolution_matrices(lat22, rng, kernel)
     # The type claims only what was checked: a dense-kernel result is raw even from a gated input.
     a, b = lat22.atom(0), lat22.atom(1)
     w = global_haar(lat22, rng)
-    factored, other = from_global_unitary(w, a), from_global_unitary(w, b)
-    perturbed = factored.entries.copy()
+    w_grid, other = from_global_unitary(w, a), from_global_unitary(w, b)
+    perturbed = w_grid.entries.copy()
     perturbed[0, 0, 0, 1] += 1e-3  # the self-test bug's perturbation
-    gated = EvolutionMatrix(a, factored.entries)
-    loaded = EvolutionMatrix.from_json(lat22, factored.to_json())
-    assert type(gated) is type(loaded) is EvolutionMatrix and gated.factor is loaded.factor is None
-    raw_inputs = [OperatorMatrix(a, factored.entries), OperatorMatrix(a, perturbed), gated, loaded]
+    gated = EvolutionMatrix(a, w_grid.entries)
+    loaded = EvolutionMatrix.from_json(lat22, w_grid.to_json())
+    assert type(gated) is type(loaded) is EvolutionMatrix and gated.w is loaded.w is None
+    raw_inputs = [OperatorMatrix(a, w_grid.entries), OperatorMatrix(a, perturbed), gated, loaded]
     results = [KERNELS[kernel](n, other, rng) for n in raw_inputs]
     for result in results:
-        assert type(result) is OperatorMatrix and result.factor is None
+        assert type(result) is OperatorMatrix and result.w is None
     assert not consistency_check(results[1]).ok  # typed EvolutionMatrix, this would be a false positive
-    from_factor = KERNELS[kernel](factored, other, rng)
+    from_w_grid = KERNELS[kernel](w_grid, other, rng)
     if kernel == "product":  # a product is always raw
-        assert type(from_factor) is OperatorMatrix and from_factor.factor is None
+        assert type(from_w_grid) is OperatorMatrix and from_w_grid.w is None
     else:  # the only kernel results typed EvolutionMatrix, and they pass the laws
-        assert type(from_factor) is EvolutionMatrix and from_factor.factor is not None
-        assert consistency_check(from_factor).ok
+        assert type(from_w_grid) is EvolutionMatrix and from_w_grid.w is not None
+        assert consistency_check(from_w_grid).ok
 
 
 def test_operator_matrix_shape_check(lat22):
@@ -471,12 +473,12 @@ def test_non_canonical_grids_do_not_mix(lat22, rng):
 
 
 # ---------------------------------------------------------------------------
-# Grids held as their Gram factor.
+# W-grids: grids that hold the global operation ``W``.
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_factored_kernels_match_the_oracles(lat232, batched):
-    """A grid built from ``W``, acted on, re-expressed or traced stays factored
+    """A grid built from ``W``, acted on, re-expressed or traced stays a W-grid
     and matches the brute-force oracles, one batch member at a time."""
     a, s = lat232.system((0, 2)), lat232.global_system
     rng = [np.random.default_rng([5, k]) for k in range(3)] if batched else np.random.default_rng(5)
@@ -489,7 +491,7 @@ def test_factored_kernels_match_the_oracles(lat232, batched):
         "action then trace": noumenal_partial_trace(noumenal_action(u, n), lat232.atom(2)),
     }
     for name, result in results.items():
-        assert result.factor is not None, name
+        assert result.w is not None, name
         assert result.entries.shape == (*np.shape(w.matrix)[:-2], result.grid_dim, result.grid_dim, 12, 12), name
     ws, us, bases = (m.reshape(-1, *m.shape[-2:]) for m in (w.matrix, u.matrix, basis))
     for k, (wk, uk, bk) in enumerate(zip(ws, us, bases)):
@@ -505,14 +507,30 @@ def test_factored_kernels_match_the_oracles(lat232, batched):
 
 
 def test_factored_entries_are_formed_once_and_read_only(lat232, rng):
-    n = from_global_unitary(global_haar(lat232, rng), lat232.atom(1))
-    assert n.factor.shape == (3, 4, 12) and not n.factor.flags.writeable
+    w = global_haar(lat232, rng)
+    n = from_global_unitary(w, lat232.atom(1))
+    assert n.w is w.matrix and not n.w.flags.writeable
     entries = n.entries
     assert n.entries is entries and not entries.flags.writeable
     with pytest.raises(ValueError):
         entries[0, 0, 0, 0] = 1.0
     raw = OperatorMatrix(n.system, entries)
-    assert raw.factor is None and raw.entries is entries
+    assert raw.w is None and raw.entries is entries
+
+
+def test_w_grids_of_every_atom_copy_nothing():
+    """On 8 qubits (D = 256) the grids of all 8 atoms hold one ``W``: together
+    they allocate less than one D x D array (1 MiB), not a copy of rows each."""
+    lattice = SystemLattice.from_dims([2] * 8)
+    w = global_haar(lattice, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        grids = [from_global_unitary(w, lattice.atom(k)) for k in range(8)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 16
+    assert all(grid.w is w.matrix for grid in grids)
 
 
 # ---------------------------------------------------------------------------

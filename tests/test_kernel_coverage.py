@@ -1,13 +1,14 @@
 """The kernel-coverage map: which kernel forms each law runs.
 
-A grid built from a global unitary holds its Gram factor and runs the factor
-kernels; a raw grid runs the dense ones.  Which form a law's side runs
-therefore follows from how its inputs were built, and a change to a law or
-to a kernel can leave a form with no law that checks it, without any law
-failing.  This test records, per law, the forms its trials run at 5 trials
-on 2x3 and on 2x2x2 (seed 0), and compares them with the table below.  A
-profiler hook sees every call of a kernel's code, whatever name the caller
-bound it by, and changes nothing.
+A grid built from a global unitary ``W`` (a W-grid) holds ``W`` and runs the
+W kernels: the row kernel ``act_on_rows`` for an action, and a new system on
+the same ``W`` for a partial trace; a raw grid runs the dense ones.  Which
+form a law's side runs therefore follows from how its inputs were built, and
+a change to a law or to a kernel can leave a form with no law that checks
+it, without any law failing.  This test records, per law, the forms its
+trials run at 5 trials on 2x3 and on 2x2x2 (seed 0), and compares them with
+the table below.  A profiler hook sees every call of a kernel's code,
+whatever name the caller bound it by, and changes nothing.
 
 When the table moves on purpose, update it here; every form must keep a law
 in :data:`GUARDS` that compares it with a different computation.
@@ -17,15 +18,15 @@ import sys
 
 import pytest
 
-from noumenal import SystemLattice, evolution, phenomenal
+from noumenal import SystemLattice, evolution, linalg, phenomenal
 from noumenal.laws import LAWS, run_law_suite
 
 #: kernel code -> the form a call runs, read from the call's arguments (``None``: not a form of its own)
 FORMS = {
-    evolution._left.__code__: lambda args: "factor action" if args["rank"] == 3 else None,  # rank 4: inside ``_conjugate``
+    linalg.act_on_rows.__code__: lambda args: "W action",
     evolution._conjugate.__code__: lambda args: "dense action",
     evolution.noumenal_partial_trace.__code__: lambda args: (
-        "factor partial trace" if args["n"].factor is not None else "dense partial trace"
+        "W partial trace" if args["n"].w is not None else "dense partial trace"
     ),
     phenomenal.phi_matrix.__code__: lambda args: "dense phi",
     evolution.noumenal_product.__code__: lambda args: "product",
@@ -42,41 +43,41 @@ KERNELS_RUN = {
     "grid_trace_completeness": {"trace residual"},
     "remote_unitary_invariance": {"distance"},
     "action_via_global": {"dense action", "distance"},
-    "action_composition": {"factor action", "dense action", "distance"},
-    "action_identity": {"factor action", "distance"},
+    "action_composition": {"W action", "dense action", "distance"},
+    "action_identity": {"W action", "distance"},
     "partial_trace_via_global": {"dense partial trace", "distance"},
     "partial_trace_surjectivity": {"dense partial trace", "distance"},
-    "partial_trace_composition": {"factor partial trace", "dense partial trace", "distance"},
+    "partial_trace_composition": {"W partial trace", "dense partial trace", "distance"},
     "product_via_global": {"product", "pairing residual", "product residual", "trace residual", "distance"},
-    "product_trace_left_recovery": {"factor partial trace", "product", "dense partial trace", "distance"},
-    "product_trace_right_recovery": {"factor partial trace", "product", "dense partial trace", "distance"},
-    "unique_decomposition": {"factor partial trace", "product", "dense partial trace", "distance"},
-    "trace_product_reconstruction": {"factor partial trace", "product", "distance"},
-    "local_operations_factorize": {"factor action", "product", "dense action", "distance"},
-    "no_action_at_a_distance": {"factor action", "factor partial trace", "distance"},
+    "product_trace_left_recovery": {"W partial trace", "product", "dense partial trace", "distance"},
+    "product_trace_right_recovery": {"W partial trace", "product", "dense partial trace", "distance"},
+    "unique_decomposition": {"W partial trace", "product", "dense partial trace", "distance"},
+    "trace_product_reconstruction": {"W partial trace", "product", "distance"},
+    "local_operations_factorize": {"W action", "product", "dense action", "distance"},
+    "no_action_at_a_distance": {"W action", "W partial trace", "distance"},
     "no_signalling": set(),
     "epimorphism_via_partial_trace": {"dense phi"},
-    "epimorphism_equivariance": {"factor action", "dense phi"},
-    "epimorphism_trace_commutation": {"factor partial trace", "dense phi"},
+    "epimorphism_equivariance": {"W action", "dense phi"},
+    "epimorphism_trace_commutation": {"W partial trace", "dense phi"},
     "pure_anchor_stays_pure": {"dense phi"},
     "pure_surjectivity": {"dense phi"},
     "mixed_surjectivity": {"dense phi"},
-    "extended_reconstruction": {"factor partial trace", "product", "distance"},
-    "extended_trace_commutation": {"factor partial trace", "dense phi"},
-    "basis_change_direct_construction": {"factor action", "distance"},
-    "basis_change_identity": {"factor action", "distance"},
-    "basis_change_composition": {"factor action", "dense action", "distance"},
-    "basis_change_round_trip": {"factor action", "distance"},
+    "extended_reconstruction": {"W partial trace", "product", "distance"},
+    "extended_trace_commutation": {"W partial trace", "dense phi"},
+    "basis_change_direct_construction": {"W action", "distance"},
+    "basis_change_identity": {"W action", "distance"},
+    "basis_change_composition": {"W action", "dense action", "distance"},
+    "basis_change_round_trip": {"W action", "distance"},
 }
 
 #: kernel form -> a law that checks it against a different computation (after the ``#``)
 GUARDS = {
-    "factor action": "basis_change_direct_construction",  # the grid built from the embedded basis flips
-    "dense action": "action_via_global",  # the grid of the lifted global operation, built from its rows
-    "factor partial trace": "partial_trace_composition",  # one dense trace of the whole
-    "dense partial trace": "partial_trace_via_global",  # the grid built from the global operation's rows
+    "W action": "basis_change_direct_construction",  # the grid built from the embedded basis flips
+    "dense action": "action_via_global",  # the W-grid of the lifted global operation
+    "W partial trace": "partial_trace_composition",  # one dense trace of the whole
+    "dense partial trace": "partial_trace_via_global",  # the W-grid of the global operation
     "dense phi": "epimorphism_via_partial_trace",  # the evolved state reduced by a partial trace
-    "product": "product_via_global",  # the grid of the union built from the global operation's rows
+    "product": "product_via_global",  # the W-grid of the union
     "pairing residual": "grid_conjugate_pairing",  # zero: the self-test's perturbed grid must fail it
     "product residual": "grid_operator_products",  # zero: the self-test's perturbed grid must fail it
     "trace residual": "grid_trace_completeness",  # zero: the self-test's perturbed grid must fail it

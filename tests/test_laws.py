@@ -118,7 +118,7 @@ def test_a_trial_that_raised_fails_at_infinite_tolerance(lat22):
 
 @pytest.mark.parametrize("dims", [[2, 2, 2], [2, 3, 2]])
 def test_partial_trace_laws_compare_two_kernels(dims):
-    """Each side of these laws is a row take of one ``W`` when both are factored,
+    """Each side of these laws is a grid of one ``W`` when both are W-grids,
     which reads exactly 0.0; one side runs the dense trace, so rounding shows."""
     kept = ("partial_trace_via_global", "partial_trace_surjectivity", "partial_trace_composition")
     reports = run_law_suite(SystemLattice.from_dims(dims), trials=20, seed=0)

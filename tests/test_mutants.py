@@ -25,14 +25,14 @@ real kernel:
 
 * the dense partial trace summing its terms in reverse order: the sum is the
   same up to rounding (only the bitwise ``-0.0`` test sees the order);
-* the factor partial trace stacking each kept block's rows in another order
-  (say ``perm[:, ::-1]``): permuting a block's rows is a unitary on the
+* a W-grid taking each block's rows of ``W`` in another order (say
+  ``perm[:, ::-1]``): permuting a block's rows is a unitary on the
   complement, and ``G_j† G_i`` does not change under it
   (``remote_unitary_invariance``);
 * the dense conjugation running its two passes in the other order: the grid
   axes are contracted independently, so only rounding moves;
 * ``simulate`` acting on a grid with ``noumenal_action(U ⊗ I)`` after a gate
-  inside its system, instead of taking its rows of ``W``: both rules hold
+  inside its system, instead of taking ``[W]^A``: both rules hold
   for such a gate (``action_via_global``), so only rounding moves.
 """
 
@@ -43,7 +43,7 @@ import pytest
 
 from noumenal import SystemLattice, circuits, evolution, linalg, phenomenal
 from noumenal import circuit_from_json, haar_random_unitary, matrix_to_json, simulate_circuit
-from noumenal.evolution import CANONICAL, ConsistencyReport, EvolutionMatrix, OperatorMatrix
+from noumenal.evolution import CANONICAL, ConsistencyReport, OperatorMatrix
 from noumenal.laws import run_law_suite
 from noumenal.linalg import dagger, max_abs
 
@@ -92,7 +92,8 @@ def replace(monkeypatch, module, name: str, mutant) -> None:
 
 def conjugation_without_conj(monkeypatch):
     def mutant(x, entries):
-        out = evolution._left(x, entries, 4)
+        out = x @ entries.reshape(*entries.shape[:-4], x.shape[-1], -1)
+        out = out.reshape(*out.shape[:-2], *entries.shape[-4:])
         for i in range(x.shape[-1]):
             row = out[..., i, :, :, :]
             row[...] = (x @ row.reshape(*row.shape[:-2], -1)).reshape(row.shape)
@@ -105,7 +106,7 @@ def trace_pairs_k_with_next(monkeypatch):
     original = evolution.noumenal_partial_trace
 
     def mutant(n, traced):
-        if n.factor is not None:
+        if n.w is not None:
             return original(n, traced)
         keep = n.system.difference(traced)
         perm = linalg.index_map(keep, traced)
@@ -153,27 +154,14 @@ def gate_against_one(monkeypatch):
     monkeypatch.setattr(ConsistencyReport, "ok", property(ok))
 
 
-def factor_action_with_conj(monkeypatch):
-    original = evolution._left
-    replace(monkeypatch, evolution, "_left", lambda x, a, rank: original(x.conj() if rank == 3 else x, a, rank))
-
-
-def factor_trace_in_traced_order(monkeypatch):
-    original = evolution.noumenal_partial_trace
-
-    def mutant(n, traced):
-        if n.factor is None:
-            return original(n, traced)
-        keep = n.system.difference(traced)
-        factor = n.factor.take(linalg.index_map(traced, keep), axis=-3)
-        return EvolutionMatrix._factored(keep, factor.reshape(*factor.shape[:-4], keep.dim, -1, factor.shape[-1]), CANONICAL)
-
-    replace(monkeypatch, evolution, "noumenal_partial_trace", mutant)
+def row_kernel_with_conj(monkeypatch):
+    original = linalg.act_on_rows
+    replace(monkeypatch, linalg, "act_on_rows", lambda x, m, a_sys: original(x.conj(), m, a_sys))
 
 
 def gram_order_swapped(monkeypatch):
     original = evolution._gram
-    replace(monkeypatch, evolution, "_gram", lambda factor: np.swapaxes(original(factor), -4, -3))
+    replace(monkeypatch, evolution, "_gram", lambda rows: np.swapaxes(original(rows), -4, -3))
 
 
 def index_map_lists_b_first(monkeypatch):
@@ -182,8 +170,8 @@ def index_map_lists_b_first(monkeypatch):
 
 
 def state_columns_without_conj(monkeypatch):
-    rows = circuits._rows
-    replace(monkeypatch, circuits, "_conjugate_state", lambda x, rho, perm: rows(x, rows(x, rho, perm).T, perm).T)
+    rows = linalg.act_on_rows
+    replace(monkeypatch, circuits, "_conjugate_state", lambda u, rho: rows(u.matrix, rows(u.matrix, rho, u.system).T, u.system).T)
 
 
 def straddling_gate_as_disjoint(monkeypatch):
@@ -201,8 +189,9 @@ MUTANTS = {
     "ConsistencyReport.ok against 1.0": (gate_against_one, gate_rejects_closure_grid),
     "trace_residual * 0": (residual_times_zero("trace_residual"), self_test_fails_grid_laws),
     "pairing_residual * 0": (residual_times_zero("pairing_residual"), self_test_fails_grid_laws),
-    "factor action with x.conj()": (factor_action_with_conj, laws_hold),
-    "factor partial trace in index_map(traced, keep) order": (factor_trace_in_traced_order, laws_hold),
+    # Not killed by simulate_cross_check_holds: W and ρ_t both take conj(U), so simulate
+    # runs the complex-conjugate circuit, consistently in both descriptions.
+    "row kernel with x.conj()": (row_kernel_with_conj, laws_hold),
     "lazy grid with the Gram order swapped": (gram_order_swapped, laws_hold),
     "index_map lists b's atoms first": (index_map_lists_b_first, laws_hold),
     "simulate's state update without conj on the columns": (state_columns_without_conj, simulate_cross_check_holds),

@@ -25,9 +25,9 @@ from noumenal.cli import main
 from conftest import refuse_constant
 
 PINNED = {
-    "verify --atoms 2x2x2 --trials 20 --seed 3": "282f50c6563c0b57",
+    "verify --atoms 2x2x2 --trials 20 --seed 3": "51126d3a6bc9f255",
     "verify --atoms 2x2 --trials 5 --self-test-bug": "5786d9c827d6342d",
-    "verify --atoms 2x2x2 --trials 100 --seed 0": "05b07a8cd472ae88",
+    "verify --atoms 2x2x2 --trials 100 --seed 0": "07a6ee201ce916b4",
     "simulate --file perfbench/inputs/simulate-7q-seed0.json": "9f888fdbdcebed3c",
     "demo bell-incompleteness": "2a5d098cb0597639",
     "demo no-signalling --atoms 2x2x2x2x2 --trials 1": "6a500569976d1a5f",
